@@ -26,6 +26,7 @@
 #include "compress/registry.h"
 #include "disco/unit.h"
 #include "noc/network.h"
+#include "sim/sweep_internal.h"
 #include "workload/synthetic.h"
 
 using namespace disco;
@@ -252,7 +253,8 @@ int main(int argc, char** argv) {
         "  \"loadlat_delivered\": %llu,\n"
         "  \"loadlat_avg_latency\": %.3f\n"
         "}\n",
-        perf.smoke ? "smoke" : "full", sweep_opt.threads,
+        perf.smoke ? "smoke" : "full",
+        sim::detail::resolve_threads(sweep_opt.threads),
         sweep.cells.size() - sweep.skipped, sweep.completed, fig5_wall,
         fig5_cells_per_sec, static_cast<unsigned long long>(fig5_cycles),
         fig5_cycles_per_sec, static_cast<unsigned long long>(ll.cycles),

@@ -24,6 +24,13 @@ BlockBytes decode_raw(std::span<const std::uint8_t> enc) {
   return b;
 }
 
+Encoded stream_or_raw(std::vector<std::uint8_t> stream, const BlockBytes& block) {
+  if (stream.size() >= 1 + kBlockBytes) return encode_raw(block);
+  Encoded e;
+  e.bytes = std::move(stream);
+  return e;
+}
+
 std::optional<BlockBytes> Algorithm::try_decompress(
     std::span<const std::uint8_t> enc) const {
   if (enc.empty()) return std::nullopt;

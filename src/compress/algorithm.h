@@ -67,6 +67,10 @@ Encoded encode_raw(const BlockBytes& block);
 bool is_raw(std::span<const std::uint8_t> enc);
 BlockBytes decode_raw(std::span<const std::uint8_t> enc);
 
+/// A finished tagged stream as the block's encoding, or encode_raw(block)
+/// when the stream is no smaller than the raw encoding.
+Encoded stream_or_raw(std::vector<std::uint8_t> stream, const BlockBytes& block);
+
 /// Compression ratio of one block under an algorithm: original / encoded.
 double ratio_of(const Algorithm& algo, const BlockBytes& block);
 

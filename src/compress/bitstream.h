@@ -1,8 +1,12 @@
 // Minimal MSB-first bit stream reader/writer used by the bit-granular
-// algorithms (FPC, SFPC, C-Pack, SC²). Encoded sizes are rounded up to whole
-// bytes, matching how a hardware packer would pad the last flit fragment.
+// algorithms (FPC, SFPC, C-Pack, SC², FVC, zero-bit). Encoded sizes are
+// rounded up to whole bytes, matching how a hardware packer would pad the
+// last flit fragment. Both sides move whole bytes, not single bits: the
+// writer shifts each value into a 64-bit accumulator and flushes complete
+// bytes, the reader takes up to 8 bits per step from the current byte.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -14,28 +18,61 @@ namespace disco::compress {
 
 class BitWriter {
  public:
+  BitWriter() { bytes_.reserve(kReserveBytes); }
+  /// Start the stream with a whole tag byte, so take() returns the finished
+  /// tagged stream. Same as put(tag, 8) on an empty writer.
+  explicit BitWriter(std::uint8_t tag) : BitWriter() { bytes_.push_back(tag); }
+
   /// Append the low `nbits` of `value`, MSB first.
   void put(std::uint64_t value, unsigned nbits) {
     assert(nbits <= 64);
-    for (unsigned i = nbits; i-- > 0;) put_bit((value >> i) & 1ULL);
+    if (nbits > 32) {
+      put_narrow(value >> 32, nbits - 32);
+      nbits = 32;
+    }
+    put_narrow(value, nbits);
   }
 
-  void put_bit(bool bit) {
-    if (bit_pos_ == 0) bytes_.push_back(0);
-    if (bit) bytes_.back() |= static_cast<std::uint8_t>(1U << (7 - bit_pos_));
-    bit_pos_ = (bit_pos_ + 1) & 7;
+  void put_bit(bool bit) { put_narrow(bit ? 1 : 0, 1); }
+
+  std::size_t bit_count() const { return bytes_.size() * 8 + pending_; }
+
+  /// The stream so far, the last partial byte zero-padded.
+  std::vector<std::uint8_t> bytes() const {
+    std::vector<std::uint8_t> out = bytes_;
+    if (pending_ > 0) out.push_back(partial_byte());
+    return out;
   }
 
-  std::size_t bit_count() const {
-    return bytes_.empty() ? 0 : (bytes_.size() - 1) * 8 + (bit_pos_ == 0 ? 8 : bit_pos_);
+  std::vector<std::uint8_t> take() {
+    if (pending_ > 0) bytes_.push_back(partial_byte());
+    pending_ = 0;
+    return std::move(bytes_);
   }
-
-  std::vector<std::uint8_t> take() { return std::move(bytes_); }
-  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
 
  private:
-  std::vector<std::uint8_t> bytes_;
-  unsigned bit_pos_ = 0;  ///< next free bit within the last byte (0 == byte full/none)
+  /// Room for a tag byte plus a 64-byte block's stream, so a codec's encode
+  /// allocates once; longer streams grow the buffer as usual.
+  static constexpr std::size_t kReserveBytes = 72;
+
+  std::vector<std::uint8_t> bytes_;  ///< complete bytes
+  std::uint64_t acc_ = 0;            ///< low `pending_` bits are not yet flushed
+  unsigned pending_ = 0;             ///< always < 8 between calls
+
+  /// nbits <= 32, so the accumulator holds at most 7 + 32 live bits. Bits
+  /// above them are stale and only ever shift out of the top.
+  void put_narrow(std::uint64_t value, unsigned nbits) {
+    acc_ = (acc_ << nbits) | (value & ((std::uint64_t{1} << nbits) - 1));
+    pending_ += nbits;
+    while (pending_ >= 8) {
+      pending_ -= 8;
+      bytes_.push_back(static_cast<std::uint8_t>(acc_ >> pending_));
+    }
+  }
+
+  std::uint8_t partial_byte() const {
+    return static_cast<std::uint8_t>(acc_ << (8 - pending_));
+  }
 };
 
 class BitReader {
@@ -51,8 +88,17 @@ class BitReader {
   }
 
   std::uint64_t get(unsigned nbits) {
+    assert(nbits <= 64);
+    if (nbits > data_.size() * 8 - pos_) throw DecodeError("bit stream truncated");
     std::uint64_t v = 0;
-    for (unsigned i = 0; i < nbits; ++i) v = (v << 1) | (get_bit() ? 1ULL : 0ULL);
+    while (nbits > 0) {
+      const unsigned offset = pos_ & 7;
+      const unsigned step = std::min(8 - offset, nbits);
+      const unsigned byte = data_[pos_ / 8];
+      v = (v << step) | ((byte >> (8 - offset - step)) & ((1U << step) - 1));
+      pos_ += step;
+      nbits -= step;
+    }
     return v;
   }
 

@@ -41,7 +41,7 @@ bool half_is_sign_ext_byte(std::uint16_t h) {
 }  // namespace
 
 Encoded FpcAlgorithm::compress(const BlockBytes& block) const {
-  BitWriter bw;
+  BitWriter bw(kFpcTag);
   std::size_t i = 0;
   while (i < kWords) {
     const std::uint32_t w = load_word(block, i);
@@ -84,13 +84,7 @@ Encoded FpcAlgorithm::compress(const BlockBytes& block) const {
     ++i;
   }
 
-  std::vector<std::uint8_t> bits = bw.take();
-  if (1 + bits.size() >= 1 + kBlockBytes) return encode_raw(block);
-  Encoded e;
-  e.bytes.reserve(1 + bits.size());
-  e.bytes.push_back(kFpcTag);
-  e.bytes.insert(e.bytes.end(), bits.begin(), bits.end());
-  return e;
+  return stream_or_raw(bw.take(), block);
 }
 
 BlockBytes FpcAlgorithm::decompress(std::span<const std::uint8_t> enc) const {
@@ -165,7 +159,7 @@ enum SfpcPrefix : unsigned { kSZero = 0, kSByte = 1, kSHalf = 2, kSRaw = 7 };
 }
 
 Encoded SfpcAlgorithm::compress(const BlockBytes& block) const {
-  BitWriter bw;
+  BitWriter bw(kFpcTag);
   for (std::size_t i = 0; i < kWords; ++i) {
     const std::uint32_t w = load_word(block, i);
     if (w == 0) {
@@ -181,12 +175,7 @@ Encoded SfpcAlgorithm::compress(const BlockBytes& block) const {
       bw.put(w, 32);
     }
   }
-  std::vector<std::uint8_t> bits = bw.take();
-  if (1 + bits.size() >= 1 + kBlockBytes) return encode_raw(block);
-  Encoded e;
-  e.bytes.push_back(kFpcTag);
-  e.bytes.insert(e.bytes.end(), bits.begin(), bits.end());
-  return e;
+  return stream_or_raw(bw.take(), block);
 }
 
 BlockBytes SfpcAlgorithm::decompress(std::span<const std::uint8_t> enc) const {

@@ -52,7 +52,7 @@ void FvcAlgorithm::retrain(std::span<const BlockBytes> sample) {
 }
 
 Encoded FvcAlgorithm::compress(const BlockBytes& block) const {
-  BitWriter bw;
+  BitWriter bw(kFvcTag);
   for (std::size_t i = 0; i < kWords; ++i) {
     const std::uint32_t w = load_word(block, i);
     const auto it = index_of_.find(w);
@@ -64,12 +64,7 @@ Encoded FvcAlgorithm::compress(const BlockBytes& block) const {
       bw.put(w, 32);
     }
   }
-  std::vector<std::uint8_t> bits = bw.take();
-  if (1 + bits.size() >= 1 + kBlockBytes) return encode_raw(block);
-  Encoded e;
-  e.bytes.push_back(kFvcTag);
-  e.bytes.insert(e.bytes.end(), bits.begin(), bits.end());
-  return e;
+  return stream_or_raw(bw.take(), block);
 }
 
 BlockBytes FvcAlgorithm::decompress(std::span<const std::uint8_t> enc) const {

@@ -3,9 +3,14 @@
 #include <algorithm>
 #include <cassert>
 #include <queue>
+#include <stdexcept>
+#include <string>
 
 namespace disco::compress {
 namespace {
+
+/// Longest code BitWriter::put and the 64-bit canonical codes can hold.
+constexpr std::uint8_t kMaxCodeBits = 64;
 
 struct Node {
   std::uint64_t freq;
@@ -49,6 +54,9 @@ HuffmanCode HuffmanCode::build(const std::vector<std::uint64_t>& freqs) {
     stack.pop_back();
     const Node& n = nodes[static_cast<std::size_t>(f.node)];
     if (n.left < 0) {
+      if (f.depth > kMaxCodeBits)
+        throw std::invalid_argument("Huffman code length " + std::to_string(f.depth) +
+                                    " exceeds " + std::to_string(kMaxCodeBits) + " bits");
       hc.codes_[n.symbol].length = std::max<std::uint8_t>(f.depth, 1);
       continue;
     }
@@ -119,7 +127,8 @@ std::size_t HuffmanCode::decode(BitReader& br) const {
   for (std::uint8_t len = 1; len <= max_len_; ++len) {
     code = (code << 1) | (br.get_bit() ? 1ULL : 0ULL);
     const std::uint64_t first = first_code_[len];
-    if (count_[len] > 0 && code < first + count_[len] && code >= first) {
+    // `code - first`, not `first + count`: that sum wraps at 64-bit lengths.
+    if (code >= first && code - first < count_[len]) {
       return sorted_symbols_[first_index_[len] + (code - first)];
     }
   }

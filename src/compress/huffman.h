@@ -19,7 +19,9 @@ struct HuffCode {
 class HuffmanCode {
  public:
   /// Build from per-symbol frequencies (size = alphabet size). Symbols with
-  /// zero frequency get no code; encoding them is a caller bug.
+  /// zero frequency get no code; encoding them is a caller bug. Throws
+  /// std::invalid_argument when a code would exceed 64 bits (only very
+  /// skewed, e.g. Fibonacci-like, frequencies get there).
   static HuffmanCode build(const std::vector<std::uint64_t>& freqs);
 
   std::size_t alphabet_size() const { return codes_.size(); }

@@ -88,7 +88,7 @@ void Sc2Algorithm::retrain(std::span<const BlockBytes> training_blocks) {
 }
 
 Encoded Sc2Algorithm::compress(const BlockBytes& block) const {
-  BitWriter bw;
+  BitWriter bw(kSc2Tag);
   for (std::size_t i = 0; i < kWords; ++i) {
     const std::uint32_t w = load_word(block, i);
     const auto it = symbol_of_word_.find(w);
@@ -99,12 +99,7 @@ Encoded Sc2Algorithm::compress(const BlockBytes& block) const {
       bw.put(w, 32);
     }
   }
-  std::vector<std::uint8_t> bits = bw.take();
-  if (1 + bits.size() >= 1 + kBlockBytes) return encode_raw(block);
-  Encoded e;
-  e.bytes.push_back(kSc2Tag);
-  e.bytes.insert(e.bytes.end(), bits.begin(), bits.end());
-  return e;
+  return stream_or_raw(bw.take(), block);
 }
 
 BlockBytes Sc2Algorithm::decompress(std::span<const std::uint8_t> enc) const {

@@ -3,7 +3,9 @@
 
 #include "common/rng.h"
 #include "compress/huffman.h"
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace disco::compress {
 namespace {
@@ -87,6 +89,34 @@ TEST(Huffman, CodesArePrefixFree) {
       }
     }
   }
+}
+
+/// Fibonacci frequencies build a fully skewed tree: n symbols get code
+/// lengths 1, 2, ..., n-1, n-1.
+std::vector<std::uint64_t> fibonacci_freqs(std::size_t n) {
+  std::vector<std::uint64_t> freqs{1, 1};
+  while (freqs.size() < n) freqs.push_back(freqs[freqs.size() - 1] + freqs[freqs.size() - 2]);
+  return freqs;
+}
+
+TEST(Huffman, CodesLongerThan64BitsAreRejected) {
+  EXPECT_THROW(HuffmanCode::build(fibonacci_freqs(80)), std::invalid_argument);
+  EXPECT_THROW(HuffmanCode::build(fibonacci_freqs(66)), std::invalid_argument);
+}
+
+TEST(Huffman, SixtyFourBitCodesRoundTrip) {
+  const auto freqs = fibonacci_freqs(65);
+  const HuffmanCode code = HuffmanCode::build(freqs);
+  std::uint8_t longest = 0;
+  BitWriter bw;
+  for (std::size_t s = 0; s < freqs.size(); ++s) {
+    longest = std::max(longest, code.code(s).length);
+    code.encode(bw, s);
+  }
+  EXPECT_EQ(longest, 64);
+  const auto bytes = bw.bytes();
+  BitReader br{std::span<const std::uint8_t>(bytes)};
+  for (std::size_t s = 0; s < freqs.size(); ++s) EXPECT_EQ(code.decode(br), s);
 }
 
 TEST(Bitstream, WriterReaderAgreeOnOddWidths) {

@@ -14,6 +14,18 @@
 
 #include "sim/golden.h"
 
+namespace disco::sim {
+
+// Without a printer gtest lists each case with the raw bytes of the
+// scenario struct (its name/description/run pointers), which differ on
+// every build and, under ASLR, on every process. Print the name so the
+// listed test names are the same from run to run.
+void PrintTo(const GoldenScenario& scenario, std::ostream* os) {
+  *os << scenario.name;
+}
+
+}  // namespace disco::sim
+
 namespace disco {
 namespace {
 
