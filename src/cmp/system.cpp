@@ -1,5 +1,6 @@
 #include "cmp/system.h"
 
+#include <atomic>
 #include <cassert>
 #include <fstream>
 #include <limits>
@@ -306,10 +307,7 @@ void CmpSystem::tick() {
 }
 
 void CmpSystem::check_cancel() const {
-  if ((cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) ||
-      interrupt_requested()) {
-    throw CancelledError();
-  }
+  if (interrupt_requested()) throw CancelledError();
 }
 
 bool CmpSystem::work_outstanding() const {

@@ -4,7 +4,6 @@
 // workload) experiment cell.
 #pragma once
 
-#include <atomic>
 #include <iosfwd>
 #include <memory>
 #include <stdexcept>
@@ -60,8 +59,9 @@ class NoProgressError : public std::runtime_error {
   Cycle last_progress_cycle;
 };
 
-/// Thrown by the simulation loop when its cooperative cancellation token is
-/// set (cell timeout reclaiming its worker, or a SIGINT/SIGTERM shutdown).
+/// Thrown by the simulation loop once the process interrupt flag is raised
+/// (a SIGINT/SIGTERM shutdown), so a running cell unwinds instead of
+/// finishing.
 class CancelledError : public std::runtime_error {
  public:
   CancelledError() : std::runtime_error("cell cancelled") {}
@@ -76,12 +76,6 @@ class CmpSystem {
   /// interleaves). Must run before any timing simulation; the timing phase
   /// then continues each core's reference stream.
   void functional_warmup(std::uint64_t ops_per_core);
-
-  /// Cooperative cancellation: when `token` is non-null the simulation loop
-  /// polls it every few hundred cycles and throws CancelledError once it is
-  /// set, so an abandoned (timed-out / interrupted) cell actually stops
-  /// instead of burning a pool slot to completion.
-  void set_cancel_token(const std::atomic<bool>* token) { cancel_ = token; }
 
   /// Flush the postmortem black box — last-progress cycle, stall census,
   /// invariant summary, tracer ring tail — to `os`. Called on watchdog trips
@@ -208,8 +202,7 @@ class CmpSystem {
   std::uint64_t hard_faults_applied_ = 0;
   bool any_node_dead_ = false;  ///< at least one whole tile is gone
 
-  // Cooperative cancellation + no-progress watchdog state.
-  const std::atomic<bool>* cancel_ = nullptr;
+  // No-progress watchdog state.
   std::uint64_t last_progress_sig_ = 0;
   std::uint64_t activity_sig_at_progress_ = 0;
   Cycle last_progress_cycle_ = 0;

@@ -1,7 +1,7 @@
 // Process-wide graceful-shutdown flag. SIGINT/SIGTERM handlers (installed by
 // the sweep CLI / batch_runner via sim::install_interrupt_handlers) set it;
-// the simulation loop polls it every few hundred cycles and unwinds with a
-// structured cancellation instead of dying mid-cell, so supervisors can flush
+// the simulation loop polls it every few hundred cycles and unwinds with
+// cmp::CancelledError instead of dying mid-cell, so the sweep can flush
 // partial results and the checkpoint manifest before exiting. Lives in
 // common/ so cmp can poll it without depending on the sim layer.
 #pragma once

@@ -81,7 +81,6 @@ CellResult run_cell(const SystemConfig& cfg,
                     const workload::BenchmarkProfile& profile,
                     const RunOptions& opt) {
   cmp::CmpSystem sys(cfg, profile);
-  sys.set_cancel_token(opt.cancel);
   run_measurement(sys, cfg, profile, opt);
 
   const auto& cs = sys.cache_stats();

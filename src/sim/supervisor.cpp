@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -158,9 +159,10 @@ class CheckpointJournal {
 // Deterministic debug faults (tests + the CI recovery drill)
 // ---------------------------------------------------------------------------
 
+/// A debug hang is isolated-only: run_sweep rejects it in-process, where
+/// nothing could stop it.
 void debug_fault_hook(const SupervisorOptions& so, std::size_t cell,
-                      unsigned attempt, bool in_child,
-                      const std::atomic<bool>* cancel) {
+                      unsigned attempt, bool in_child) {
   if (attempt > so.debug_crash_attempts) return;
   const auto is = [cell](int k) {
     return k >= 0 && static_cast<std::size_t>(k) == cell;
@@ -170,15 +172,84 @@ void debug_fault_hook(const SupervisorOptions& so, std::size_t cell,
     throw std::runtime_error("debug: injected crash");
   }
   if (is(so.debug_throw_cell)) throw 42;  // deliberately not a std::exception
-  if (is(so.debug_hang_cell)) {
-    if (in_child) {
-      for (;;) ::pause();  // until the parent's SIGTERM/SIGKILL
-    }
-    while (cancel == nullptr || !cancel->load(std::memory_order_relaxed))
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    throw cmp::CancelledError();
+  if (is(so.debug_hang_cell) && in_child) {
+    for (;;) ::pause();  // until the parent's SIGTERM/SIGKILL
   }
 }
+
+// ---------------------------------------------------------------------------
+// State shared by both execution modes
+// ---------------------------------------------------------------------------
+
+/// Backoff before the retry that follows attempt `attempt` (>= 1):
+/// base_ms << (attempt - 1), saturating at kMaxBackoffMs (~35 years, still
+/// safe to add to a steady_clock time point) instead of overflowing.
+constexpr std::uint64_t kMaxBackoffMs = std::uint64_t{1} << 40;
+
+std::uint64_t retry_backoff_ms(std::uint64_t base_ms, unsigned attempt) {
+  const unsigned shift = attempt - 1;
+  if (base_ms == 0) return 0;
+  if (shift >= 40 || base_ms > (kMaxBackoffMs >> shift)) return kMaxBackoffMs;
+  return base_ms << shift;
+}
+
+/// One sweep's cells, outcomes, journal and progress line. Both modes record
+/// each attempt into res.cells[work[w]] and call finalize() exactly once per
+/// cell; run_sweep finalizes whatever an interrupt left unfinished.
+struct SweepState {
+  const std::vector<SweepCell>& prepared;
+  const std::vector<std::size_t>& work;
+  const SweepOptions& opt;
+  SweepResult& res;
+  CheckpointJournal& journal;
+  detail::ProgressMeter& progress;
+  const SupervisorOptions& so = opt.supervisor;
+  const unsigned attempt_limit =
+      so.max_retries < UINT_MAX ? so.max_retries + 1 : UINT_MAX;
+  std::vector<Clock::time_point> cell_start =
+      std::vector<Clock::time_point>(work.size());  ///< per work item
+  std::vector<char> done = std::vector<char>(work.size());  ///< finalized
+
+  SweepCellOutcome& outcome(std::size_t w) { return res.cells[work[w]]; }
+
+  /// Whether the attempt just recorded for work item `w` earns a retry; if
+  /// so, notes it and sets `backoff_ms` to the delay before it.
+  bool plan_retry(std::size_t w, std::uint64_t& backoff_ms) {
+    const SweepCellOutcome& out = outcome(w);
+    const bool retryable = out.status == CellStatus::Failed ||
+                           out.status == CellStatus::Crashed ||
+                           out.status == CellStatus::TimedOut ||
+                           out.status == CellStatus::ResourceExhausted;
+    if (!retryable || out.attempts >= attempt_limit || interrupt_requested())
+      return false;
+    backoff_ms = retry_backoff_ms(so.retry_backoff_ms, out.attempts);
+    progress.note("cell " + std::to_string(out.index) + " " +
+                  to_string(out.status) + " (" + out.error + "); retry " +
+                  std::to_string(out.attempts + 1) + "/" +
+                  std::to_string(attempt_limit) + " in " +
+                  std::to_string(backoff_ms) + "ms");
+    return true;
+  }
+
+  /// The cell's outcome is final: journal it, drop its snapshot, report it.
+  void finalize(std::size_t w) {
+    SweepCellOutcome& out = outcome(w);
+    out.wall_ms = out.attempts > 0 ? ms_since(cell_start[w]) : 0.0;
+    journal.append(encode_entry(out));
+    // An interrupted cell keeps its snapshot: the --resume rerun picks it up
+    // mid-cell.
+    if (out.status != CellStatus::Interrupted)
+      gc_snapshot(so.checkpoint_dir, out.index);
+    if (!out.ok()) {
+      progress.note("cell " + std::to_string(out.index) + " (" +
+                    prepared[out.index].profile.name + "/" +
+                    std::string(to_string(prepared[out.index].cfg.scheme)) +
+                    ") " + to_string(out.status) + ": " + out.error);
+    }
+    progress.cell_done();
+    done[w] = 1;
+  }
+};
 
 // ---------------------------------------------------------------------------
 // Child side of --isolate
@@ -288,8 +359,7 @@ void write_all(int fd, const std::string& payload) {
   std::string payload;
   int exit_code = 0;
   try {
-    debug_fault_hook(opt.supervisor, index, attempt, /*in_child=*/true,
-                     nullptr);
+    debug_fault_hook(opt.supervisor, index, attempt, /*in_child=*/true);
     CellResult r = run_cell(cell.cfg, cell.profile, cell.opt);
     if (auto_trace) r.trace_text.clear();
     payload = wire::encode_result(r);
@@ -338,23 +408,17 @@ struct PendingAttempt {
 
 class IsolatedScheduler {
  public:
-  IsolatedScheduler(const std::vector<SweepCell>& prepared,
-                    const std::vector<std::size_t>& work,
-                    const SweepOptions& opt, unsigned max_attempts,
-                    SweepResult& res, CheckpointJournal& journal,
-                    detail::ProgressMeter& progress)
-      : prepared_(prepared), work_(work), opt_(opt), so_(opt.supervisor),
-        max_attempts_(max_attempts), res_(res), journal_(journal),
-        progress_(progress), cell_start_(work.size()) {}
+  explicit IsolatedScheduler(SweepState& st)
+      : st_(st), opt_(st.opt), so_(st.so) {}
 
   void run() {
     // The scheduler itself stays single-threaded: forking from a process
     // with live worker threads can deadlock the child on allocator locks.
     const std::size_t slots =
         std::min<std::size_t>(detail::resolve_threads(opt_.threads),
-                              std::max<std::size_t>(work_.size(), 1));
+                              std::max<std::size_t>(st_.work.size(), 1));
     const auto now0 = Clock::now();
-    for (std::size_t w = 0; w < work_.size(); ++w)
+    for (std::size_t w = 0; w < st_.work.size(); ++w)
       pending_.push_back({w, 1, now0});
 
     bool shutdown_sent = false;
@@ -389,8 +453,8 @@ class IsolatedScheduler {
   }
 
   void spawn(const PendingAttempt& p) {
-    const std::size_t i = work_[p.windex];
-    if (p.attempt == 1) cell_start_[p.windex] = Clock::now();
+    const std::size_t i = st_.work[p.windex];
+    if (p.attempt == 1) st_.cell_start[p.windex] = Clock::now();
     int fds[2];
     if (::pipe(fds) != 0) {
       record_final(p.windex, p.attempt, CellStatus::Failed,
@@ -407,7 +471,7 @@ class IsolatedScheduler {
     }
     if (pid == 0) {
       ::close(fds[0]);
-      child_main(prepared_[i], i, p.attempt, opt_, fds[1]);  // never returns
+      child_main(st_.prepared[i], i, p.attempt, opt_, fds[1]);  // never returns
     }
     ::close(fds[1]);
     ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
@@ -454,38 +518,24 @@ class IsolatedScheduler {
     while (::waitpid(c.pid, &wstatus, 0) < 0 && errno == EINTR) {
     }
 
-    CellStatus status;
-    std::string error;
+    SweepCellOutcome& out = st_.outcome(c.windex);
+    out.attempts = c.attempt;
+    out.error.clear();
     CellResult result;
     std::uint64_t resumed_cycles = 0;
-    classify_exit(c, wstatus, status, error, result, resumed_cycles);
-
-    const bool retryable = status == CellStatus::Failed ||
-                           status == CellStatus::Crashed ||
-                           status == CellStatus::TimedOut ||
-                           status == CellStatus::ResourceExhausted;
-    if (retryable && c.attempt < max_attempts_ && !interrupt_requested()) {
-      record_attempt(c.windex, c.attempt, status, error);
-      const std::uint64_t backoff = so_.retry_backoff_ms << (c.attempt - 1);
+    classify_exit(c, wstatus, out.status, out.error, result, resumed_cycles);
+    std::uint64_t backoff = 0;
+    if (st_.plan_retry(c.windex, backoff)) {
       pending_.push_back(
           {c.windex, c.attempt + 1,
            Clock::now() + std::chrono::milliseconds(backoff)});
-      progress_.note("cell " + std::to_string(work_[c.windex]) + " " +
-                     to_string(status) + " (" + error + "); retry " +
-                     std::to_string(c.attempt + 1) + "/" +
-                     std::to_string(max_attempts_) + " in " +
-                     std::to_string(backoff) + "ms");
       return;
     }
-    SweepCellOutcome& out = res_.cells[work_[c.windex]];
-    out.attempts = c.attempt;
-    out.status = status;
-    out.error = std::move(error);
-    if (status == CellStatus::Ok) {
+    if (out.status == CellStatus::Ok) {
       out.result = std::move(result);
       out.snap_saved_cycles = resumed_cycles;
     }
-    finalize(c.windex);
+    st_.finalize(c.windex);
   }
 
   void classify_exit(const ChildProc& c, int wstatus, CellStatus& status,
@@ -607,108 +657,59 @@ class IsolatedScheduler {
       }
       c.interrupt_sent = true;
     }
-    // Pending attempts never run: journal whatever state their cell is in.
-    for (const PendingAttempt& p : pending_) {
-      SweepCellOutcome& out = res_.cells[work_[p.windex]];
-      if (out.attempts == 0) {
-        out.status = CellStatus::Interrupted;
-        out.error = "sweep interrupted before this cell ran";
-      }
-      finalize(p.windex);
-    }
+    // Pending attempts never run; run_sweep finalizes their cells.
     pending_.clear();
-  }
-
-  /// Journal a non-final (to-be-retried) attempt's outcome into the live
-  /// SweepCellOutcome so an interrupt mid-backoff still reports it.
-  void record_attempt(std::size_t windex, unsigned attempt, CellStatus status,
-                      const std::string& error) {
-    SweepCellOutcome& out = res_.cells[work_[windex]];
-    out.attempts = attempt;
-    out.status = status;
-    out.error = error;
   }
 
   void record_final(std::size_t windex, unsigned attempt, CellStatus status,
                     std::string error) {
-    SweepCellOutcome& out = res_.cells[work_[windex]];
+    SweepCellOutcome& out = st_.outcome(windex);
     out.attempts = attempt;
     out.status = status;
     out.error = std::move(error);
-    finalize(windex);
+    st_.finalize(windex);
   }
 
-  void finalize(std::size_t windex) {
-    SweepCellOutcome& out = res_.cells[work_[windex]];
-    out.wall_ms = ms_since(cell_start_[windex]);
-    journal_.append(encode_entry(out));
-    // Terminal outcome: the cell's snapshot is no longer needed. An
-    // interrupted cell keeps it — the --resume rerun picks it up mid-cell.
-    if (out.status != CellStatus::Interrupted)
-      gc_snapshot(so_.checkpoint_dir, out.index);
-    if (!out.ok()) {
-      progress_.note("cell " + std::to_string(out.index) + " (" +
-                     prepared_[out.index].profile.name + "/" +
-                     std::string(to_string(prepared_[out.index].cfg.scheme)) +
-                     ") " + to_string(out.status) + ": " + out.error);
-    }
-    progress_.cell_done();
-  }
-
-  const std::vector<SweepCell>& prepared_;
-  const std::vector<std::size_t>& work_;
+  SweepState& st_;
   const SweepOptions& opt_;
   const SupervisorOptions& so_;
-  const unsigned max_attempts_;
-  SweepResult& res_;
-  CheckpointJournal& journal_;
-  detail::ProgressMeter& progress_;
-  std::vector<Clock::time_point> cell_start_;
   std::deque<PendingAttempt> pending_;
   std::vector<ChildProc> running_;
 };
 
 // ---------------------------------------------------------------------------
-// Supervised in-process execution (checkpoint / debug hooks, no fork)
+// In-process execution: the thread pool, no fork, no wall clock
 // ---------------------------------------------------------------------------
 
-void run_inprocess_cells(const std::vector<SweepCell>& prepared,
-                         const std::vector<std::size_t>& work,
-                         const SweepOptions& opt, unsigned max_attempts,
-                         SweepResult& res, CheckpointJournal& journal,
-                         detail::ProgressMeter& progress) {
-  const SupervisorOptions& so = opt.supervisor;
-  detail::run_pool(work.size(), opt.threads, [&](std::size_t w) {
-    const std::size_t i = work[w];
-    SweepCellOutcome& out = res.cells[i];
-    const auto cell_t0 = Clock::now();
-    for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-      if (attempt > 1 && so.retry_backoff_ms > 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            so.retry_backoff_ms << (attempt - 2)));
-      out.attempts = attempt;
-      const detail::AttemptHook hook =
-          [&so, i, attempt](const std::atomic<bool>* cancel) {
-            debug_fault_hook(so, i, attempt, /*in_child=*/false, cancel);
-          };
-      out.status = detail::run_attempt(prepared[i], opt.cell_timeout_ms,
-                                       so.hang_grace_ms, hook, out.result,
-                                       out.error);
-      // Unlike plain run_sweep, the supervisor retries timeouts too: with
-      // backoff and process isolation a hang is often load-dependent.
-      if (out.status == CellStatus::Ok ||
-          out.status == CellStatus::Interrupted || interrupt_requested())
-        break;
+/// One in-process attempt at work item `w`: debug hook, run_cell, classify.
+void run_attempt(SweepState& st, std::size_t w, unsigned attempt) {
+  SweepCellOutcome& out = st.outcome(w);
+  const SweepCell& cell = st.prepared[out.index];
+  out.attempts = attempt;
+  out.error.clear();
+  try {
+    debug_fault_hook(st.so, out.index, attempt, /*in_child=*/false);
+    out.result = run_cell(cell.cfg, cell.profile, cell.opt);
+    out.status = CellStatus::Ok;
+  } catch (const cmp::CancelledError&) {
+    out.status = CellStatus::Interrupted;
+    out.error = "cell interrupted";
+  } catch (...) {
+    out.status = CellStatus::Failed;
+    out.error = detail::describe_current_exception();
+  }
+}
+
+void run_in_process(SweepState& st) {
+  detail::run_pool(st.work.size(), st.opt.threads, [&st](std::size_t w) {
+    st.cell_start[w] = Clock::now();
+    std::uint64_t backoff = 0;
+    for (unsigned attempt = 1;; ++attempt) {
+      run_attempt(st, w, attempt);
+      if (!st.plan_retry(w, backoff)) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
     }
-    out.wall_ms = ms_since(cell_t0);
-    journal.append(encode_entry(out));
-    if (!out.ok()) {
-      progress.note("cell " + std::to_string(i) + " (" +
-                    prepared[i].profile.name + "/" +
-                    std::string(to_string(prepared[i].cfg.scheme)) + ") " +
-                    to_string(out.status) + ": " + out.error);
-    }
-    progress.cell_done();
+    st.finalize(w);
   });
 }
 
@@ -774,15 +775,18 @@ Manifest load_manifest(const std::string& path) {
   return m;
 }
 
-SweepResult run_sweep_supervised(const std::vector<SweepCell>& cells,
-                                 const SweepOptions& opt) {
-  const auto t0 = Clock::now();
+SweepResult run_sweep(const std::vector<SweepCell>& cells,
+                      const SweepOptions& opt) {
   const SupervisorOptions& so = opt.supervisor;
+  if (!so.isolate && (opt.cell_timeout_ms > 0 || so.debug_hang_cell >= 0))
+    throw std::invalid_argument(
+        "run_sweep: a wall-clock budget (cell_timeout_ms) or a debug hang "
+        "needs supervisor.isolate; an in-process cell cannot be stopped");
+  const auto t0 = Clock::now();
   SweepResult res;
   std::vector<std::size_t> work;
   const std::vector<SweepCell> prepared =
       detail::prepare_cells(cells, opt, res, work);
-  const unsigned max_attempts = 1 + so.max_retries;
 
   // Resume: adopt the prior run's Ok cells verbatim; everything else reruns.
   std::vector<std::string> carried;
@@ -833,23 +837,23 @@ SweepResult run_sweep_supervised(const std::vector<SweepCell>& cells,
                  std::move(carried));
 
   detail::ProgressMeter progress(work.size(), opt);
+  SweepState st{prepared, work, opt, res, journal, progress};
   if (so.isolate) {
-    IsolatedScheduler(prepared, work, opt, max_attempts, res, journal,
-                      progress)
-        .run();
+    IsolatedScheduler(st).run();
   } else {
-    run_inprocess_cells(prepared, work, opt, max_attempts, res, journal,
-                        progress);
+    run_in_process(st);
   }
 
-  // Cells never claimed before an interrupt shutdown.
-  for (const std::size_t i : work) {
-    SweepCellOutcome& out = res.cells[i];
-    if (out.attempts == 0 && out.status == CellStatus::Skipped) {
+  // An interrupt shutdown leaves cells unfinished: one that never ran is
+  // Interrupted; one waiting out a retry backoff keeps its last outcome.
+  for (std::size_t w = 0; w < work.size(); ++w) {
+    if (st.done[w]) continue;
+    SweepCellOutcome& out = st.outcome(w);
+    if (out.attempts == 0) {
       out.status = CellStatus::Interrupted;
       out.error = "sweep interrupted before this cell ran";
-      journal.append(encode_entry(out));
     }
+    st.finalize(w);
   }
   detail::tally_outcomes(res);
   res.wall_ms = ms_since(t0);

@@ -1,18 +1,23 @@
-// Crash-resilient sweep supervisor. Each cell attempt runs in a forked
-// child process (--isolate) that reports its CellResult back over a pipe in
-// the lossless wire format (wire.h); the parent is a single-threaded poll()
-// scheduler that enforces wall-clock budgets with SIGTERM -> grace ->
-// SIGKILL escalation, retries crashed / hung / failed cells with exponential
-// backoff, and journals every finished cell to an append-only checkpoint
-// manifest (atomic tmp + rename per cell). A later run with --resume adopts
-// the manifest's Ok cells verbatim, so its aggregate output is
-// byte-identical to an uninterrupted run. On a crash or hang the child
-// flushes a postmortem black box (tracer ring tail, invariant summary,
-// last-progress cycle, stall census) next to the manifest.
+// Sweep supervisor: supervisor.cpp defines run_sweep (sweep.h), which runs
+// the cells one of two ways and treats both alike afterwards.
 //
-// The supervisor also runs without isolation (checkpoint/resume/debug hooks
-// on the classic thread pool) — a crash then still kills the process, but
-// checkpointing and the deterministic fault hooks keep working.
+//   - In-process (default): a thread pool runs each cell attempt directly.
+//     There is no wall clock — a cell's budget is its cycle counts plus the
+//     optional --progress-watchdog — and a crash still kills the process.
+//   - Isolated (--isolate): each attempt runs in a forked child process
+//     that reports its CellResult back over a pipe in the lossless wire
+//     format (wire.h); the parent is a single-threaded poll() scheduler that
+//     enforces the --timeout-ms wall-clock budget with SIGTERM -> grace ->
+//     SIGKILL escalation. On a crash or hang the child flushes a postmortem
+//     black box (tracer ring tail, invariant summary, last-progress cycle,
+//     stall census) next to the manifest.
+//
+// In both modes a crashed / hung / failed cell is retried with exponential
+// backoff (1 + max_retries attempts), and with --checkpoint-dir every
+// finished cell is journaled to an append-only checkpoint manifest (atomic
+// tmp + rename per cell). A later run with --resume adopts the manifest's
+// Ok cells verbatim, so its aggregate output is byte-identical to an
+// uninterrupted run.
 #pragma once
 
 #include <cstdint>
@@ -52,12 +57,5 @@ struct Manifest {
 /// or has no valid header line; an unparseable entry line is dropped (the
 /// cell simply reruns), never fatal.
 Manifest load_manifest(const std::string& path);
-
-/// Run a sweep under the supervisor. Called by run_sweep when
-/// opt.supervisor.active(); callable directly by tests. Throws
-/// std::runtime_error when a resume manifest does not match the sweep
-/// (cell count, base seed or shard differ).
-SweepResult run_sweep_supervised(const std::vector<SweepCell>& cells,
-                                 const SweepOptions& opt);
 
 }  // namespace disco::sim

@@ -1,14 +1,10 @@
 #include "sim/sweep.h"
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <exception>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -16,7 +12,6 @@
 #include "common/rng.h"
 #include "fault/fault.h"
 #include "compress/decode_error.h"
-#include "sim/supervisor.h"
 #include "sim/sweep_internal.h"
 #include "trace/trace.h"
 
@@ -71,114 +66,6 @@ std::string describe_current_exception() {
   } catch (...) {
     return "exception of unknown type";
   }
-}
-
-namespace {
-
-/// Completion slot shared with a (possibly outlived) attempt thread.
-struct AttemptState {
-  SweepCell cell;  ///< owned copy: must outlive a wedged, detached attempt
-  std::atomic<bool> cancel{false};
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  bool threw = false;
-  bool cancelled = false;  ///< CancelledError unwound the cell
-  std::string error;
-  CellResult result;
-};
-
-std::atomic<std::size_t> g_live_attempt_threads{0};
-
-}  // namespace
-
-std::size_t live_attempt_threads() {
-  return g_live_attempt_threads.load(std::memory_order_acquire);
-}
-
-CellStatus run_attempt(const SweepCell& cell, std::uint64_t timeout_ms,
-                       std::uint64_t hang_grace_ms, const AttemptHook& hook,
-                       CellResult& result, std::string& error) {
-  if (timeout_ms == 0) {
-    try {
-      if (hook) hook(cell.opt.cancel);
-      result = run_cell(cell.cfg, cell.profile, cell.opt);
-      return CellStatus::Ok;
-    } catch (const cmp::CancelledError&) {
-      error = "cell interrupted";
-      return CellStatus::Interrupted;
-    } catch (...) {
-      error = describe_current_exception();
-    }
-    return CellStatus::Failed;
-  }
-
-  auto st = std::make_shared<AttemptState>();
-  st->cell = cell;
-  st->cell.opt.cancel = &st->cancel;
-  g_live_attempt_threads.fetch_add(1, std::memory_order_acq_rel);
-  std::thread worker([st, hook] {
-    CellResult r;
-    bool threw = false;
-    bool cancelled = false;
-    std::string err;
-    try {
-      if (hook) hook(&st->cancel);
-      r = run_cell(st->cell.cfg, st->cell.profile, st->cell.opt);
-    } catch (const cmp::CancelledError&) {
-      cancelled = true;
-    } catch (...) {
-      threw = true;
-      err = describe_current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(st->mu);
-      st->result = std::move(r);
-      st->threw = threw;
-      st->cancelled = cancelled;
-      st->error = std::move(err);
-      st->done = true;
-    }
-    st->cv.notify_all();
-    g_live_attempt_threads.fetch_sub(1, std::memory_order_acq_rel);
-  });
-
-  std::unique_lock<std::mutex> lock(st->mu);
-  if (!st->cv.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                       [&] { return st->done; })) {
-    // Budget exceeded: fire the cooperative cancellation token. The sim loop
-    // polls it every few hundred cycles, so a bounded grace wait reclaims
-    // the thread (and its pool slot); only a truly wedged attempt — one that
-    // never reaches a poll point again — is detached.
-    st->cancel.store(true, std::memory_order_release);
-    const bool reclaimed = st->cv.wait_for(
-        lock,
-        std::chrono::milliseconds(std::max<std::uint64_t>(hang_grace_ms, 1)),
-        [&] { return st->done; });
-    lock.unlock();
-    if (reclaimed) {
-      worker.join();
-    } else {
-      worker.detach();
-    }
-    const bool interrupted = interrupt_requested();
-    error = interrupted
-                ? "cell interrupted"
-                : "cell exceeded " + std::to_string(timeout_ms) + "ms budget";
-    return interrupted ? CellStatus::Interrupted : CellStatus::TimedOut;
-  }
-  lock.unlock();
-  worker.join();
-  if (st->cancelled) {
-    error = "cell interrupted";
-    return CellStatus::Interrupted;
-  }
-  if (st->threw) {
-    error = st->error;
-    return CellStatus::Failed;
-  }
-  result = std::move(st->result);
-  return CellStatus::Ok;
 }
 
 std::vector<SweepCell> prepare_cells(const std::vector<SweepCell>& cells,
@@ -242,17 +129,19 @@ namespace {
 [[noreturn]] void usage(const char* prog, int code) {
   std::fprintf(stderr,
                "usage: %s [--threads N] [--shard i/k] [--seed S]\n"
-               "          [--timeout-ms T] [--no-progress] [--isolate]\n"
+               "          [--no-progress] [--isolate [--timeout-ms T]]\n"
                "          [--checkpoint-dir D] [--resume M] [--fault-* ...] [args...]\n"
                "  --threads N     worker threads (default: cores - 1)\n"
                "  --shard i/k     run shard i of k (0 <= i < k); cells are\n"
                "                  sharded by group so comparison rows stay whole\n"
                "  --seed S        base seed; per-cell seed = splitmix64(S, cell)\n"
-               "  --timeout-ms T  per-cell wall-clock budget (0 = none)\n"
                "  --no-progress   suppress the stderr progress line\n"
                "crash resilience (sweep supervisor):\n"
                "  --isolate            run each cell in a forked child process;\n"
                "                       a SIGSEGV or hard hang costs one cell\n"
+               "  --timeout-ms T       (with --isolate) per-cell wall-clock\n"
+               "                       budget (0 = none); an in-process cell\n"
+               "                       is bounded by its cycle counts instead\n"
                "  --checkpoint-dir D   journal finished cells to D/manifest.jsonl\n"
                "                       and write postmortem black boxes into D\n"
                "  --resume M           adopt the Ok cells of manifest M verbatim\n"
@@ -260,8 +149,8 @@ namespace {
                "                       uninterrupted run) and run only the rest\n"
                "  --max-retries R      extra attempts per crashed/hung/failed cell\n"
                "                       (default 1)\n"
-               "  --retry-backoff-ms B backoff before retry r is B << (r-1)\n"
-               "                       (default 100)\n"
+               "  --retry-backoff-ms B backoff before retry r is B << (r-1),\n"
+               "                       saturating (default 100)\n"
                "  --hang-grace-ms G    grace between SIGTERM and SIGKILL for a\n"
                "                       timed-out child (default 2000)\n"
                "  --snapshot-interval-cycles N\n"
@@ -278,7 +167,8 @@ namespace {
                "                       livelock/starvation error if no packet\n"
                "                       moves for N cycles while work is pending\n"
                "  --debug-crash-cell K / --debug-hang-cell K / --debug-throw-cell K\n"
-               "                       deterministically break cell K (tests/CI);\n"
+               "                       deterministically break cell K (tests/CI;\n"
+               "                       --debug-hang-cell needs --isolate);\n"
                "                       --debug-crash-attempts A limits the hooks\n"
                "                       to the first A attempts (default 1)\n"
                "tracing / invariants:\n"
@@ -305,7 +195,8 @@ namespace {
                "                         e.g. engine@5000:3,link@9000:5:E\n"
                "  --hard-fault-rate R    per-component permanent-failure\n"
                "                         probability per cycle (seed-derived\n"
-               "                         exponential draw per component)\n",
+               "                         exponential draw per component)\n"
+               "numbers are decimal digits only; rates lie in [0, 1]\n",
                prog);
   std::exit(code);
 }
@@ -338,57 +229,6 @@ std::vector<CellResult> SweepResult::ok_results() const {
   return out;
 }
 
-SweepResult run_sweep(const std::vector<SweepCell>& cells,
-                      const SweepOptions& opt) {
-  if (opt.supervisor.active()) return run_sweep_supervised(cells, opt);
-
-  const auto t0 = detail::Clock::now();
-  SweepResult res;
-  std::vector<std::size_t> work;
-  const std::vector<SweepCell> prepared =
-      detail::prepare_cells(cells, opt, res, work);
-
-  detail::ProgressMeter progress(work.size(), opt);
-  const unsigned max_attempts = std::max(1u, opt.max_attempts);
-
-  detail::run_pool(work.size(), opt.threads, [&](std::size_t w) {
-    const std::size_t i = work[w];
-    SweepCellOutcome& out = res.cells[i];
-    const auto cell_t0 = detail::Clock::now();
-    for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-      out.attempts = attempt;
-      out.status =
-          detail::run_attempt(prepared[i], opt.cell_timeout_ms,
-                              opt.supervisor.hang_grace_ms, nullptr,
-                              out.result, out.error);
-      // A timed-out cell is not retried: the retry would spend the same
-      // wall-clock budget again for the same deterministic outcome.
-      if (out.status != CellStatus::Failed) break;
-    }
-    out.wall_ms = detail::ms_since(cell_t0);
-    if (!out.ok()) {
-      progress.note("cell " + std::to_string(i) + " (" +
-                    prepared[i].profile.name + "/" +
-                    std::string(to_string(prepared[i].cfg.scheme)) + ") " +
-                    to_string(out.status) + ": " + out.error);
-    }
-    progress.cell_done();
-  });
-
-  // Cells the pool never claimed (interrupt shutdown) are Interrupted, not
-  // silently Skipped.
-  for (const std::size_t i : work) {
-    SweepCellOutcome& out = res.cells[i];
-    if (out.attempts == 0 && out.status == CellStatus::Skipped) {
-      out.status = CellStatus::Interrupted;
-      out.error = "sweep interrupted before this cell ran";
-    }
-  }
-  detail::tally_outcomes(res);
-  res.wall_ms = detail::ms_since(t0);
-  return res;
-}
-
 void run_indexed(std::size_t count, const std::function<void(std::size_t)>& fn,
                  const SweepOptions& opt) {
   detail::ProgressMeter progress(count, opt);
@@ -401,21 +241,51 @@ void run_indexed(std::size_t count, const std::function<void(std::size_t)>& fn,
 SweepOptions parse_sweep_flags(int argc, char** argv,
                                std::vector<std::string>& positional) {
   SweepOptions opt;
+  SupervisorOptions& so = opt.supervisor;
+  // Strict numbers: a value that is not all decimal digits, or exceeds
+  // `max`, is a usage error — never a silently wrapped or defaulted knob.
+  const auto bad = [&](const std::string& what, const char* v) {
+    std::fprintf(stderr, "%s: invalid value '%s'\n", what.c_str(), v);
+    usage(argv[0], 2);
+  };
+  const auto num = [&](const std::string& what, const char* v,
+                       std::uint64_t max) -> std::uint64_t {
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long n = std::strtoull(v, &end, 10);
+    if (*v < '0' || *v > '9' || *end != '\0' || errno == ERANGE || n > max)
+      bad(what, v);
+    return n;
+  };
+  const auto u64 = [&](const std::string& w, const char* v) {
+    return num(w, v, UINT64_MAX);
+  };
+  const auto u32 = [&](const std::string& w, const char* v) {
+    return static_cast<unsigned>(num(w, v, UINT_MAX));
+  };
+  const auto cell = [&](const std::string& w, const char* v) {
+    return static_cast<int>(num(w, v, INT_MAX));
+  };
+  const auto rate = [&](const std::string& w, const char* v) {
+    char* end = nullptr;
+    const double r = std::strtod(v, &end);
+    if (end == v || *end != '\0' || !(r >= 0.0 && r <= 1.0)) bad(w, v);
+    return r;
+  };
   // Debug fault hooks are also settable from the environment so CI can break
   // a child without touching every bench's argv plumbing.
   if (const char* e = std::getenv("DISCO_DEBUG_CRASH_CELL"))
-    opt.supervisor.debug_crash_cell = std::atoi(e);
+    so.debug_crash_cell = cell("DISCO_DEBUG_CRASH_CELL", e);
   if (const char* e = std::getenv("DISCO_DEBUG_HANG_CELL"))
-    opt.supervisor.debug_hang_cell = std::atoi(e);
+    so.debug_hang_cell = cell("DISCO_DEBUG_HANG_CELL", e);
   if (const char* e = std::getenv("DISCO_DEBUG_THROW_CELL"))
-    opt.supervisor.debug_throw_cell = std::atoi(e);
+    so.debug_throw_cell = cell("DISCO_DEBUG_THROW_CELL", e);
   if (const char* e = std::getenv("DISCO_DEBUG_CRASH_ATTEMPTS"))
-    opt.supervisor.debug_crash_attempts =
-        static_cast<unsigned>(std::strtoul(e, nullptr, 10));
+    so.debug_crash_attempts = u32("DISCO_DEBUG_CRASH_ATTEMPTS", e);
   if (const char* e = std::getenv("DISCO_DEBUG_KILL_CELL"))
-    opt.supervisor.debug_kill_cell = std::atoi(e);
+    so.debug_kill_cell = cell("DISCO_DEBUG_KILL_CELL", e);
   if (const char* e = std::getenv("DISCO_DEBUG_KILL_CYCLE"))
-    opt.supervisor.debug_kill_cycle = std::strtoull(e, nullptr, 10);
+    so.debug_kill_cycle = u64("DISCO_DEBUG_KILL_CYCLE", e);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> const char* {
@@ -425,46 +295,44 @@ SweepOptions parse_sweep_flags(int argc, char** argv,
     if (arg == "--help" || arg == "-h") {
       usage(argv[0], 0);
     } else if (arg == "--threads") {
-      opt.threads = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
+      opt.threads = u32(arg, value());
     } else if (arg == "--seed") {
-      opt.base_seed = std::strtoull(value(), nullptr, 10);
+      opt.base_seed = u64(arg, value());
     } else if (arg == "--timeout-ms") {
-      opt.cell_timeout_ms = std::strtoull(value(), nullptr, 10);
+      opt.cell_timeout_ms = u64(arg, value());
     } else if (arg == "--no-progress") {
       opt.progress = false;
     } else if (arg == "--isolate") {
-      opt.supervisor.isolate = true;
+      so.isolate = true;
     } else if (arg == "--checkpoint-dir") {
-      opt.supervisor.checkpoint_dir = value();
+      so.checkpoint_dir = value();
     } else if (arg == "--resume") {
-      opt.supervisor.resume_manifest = value();
+      so.resume_manifest = value();
     } else if (arg == "--max-retries") {
-      opt.supervisor.max_retries =
-          static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
+      // 1 + max_retries attempts must not wrap to 0.
+      so.max_retries = static_cast<unsigned>(num(arg, value(), UINT_MAX - 1));
     } else if (arg == "--retry-backoff-ms") {
-      opt.supervisor.retry_backoff_ms = std::strtoull(value(), nullptr, 10);
+      so.retry_backoff_ms = u64(arg, value());
     } else if (arg == "--hang-grace-ms") {
-      opt.supervisor.hang_grace_ms = std::strtoull(value(), nullptr, 10);
+      so.hang_grace_ms = u64(arg, value());
     } else if (arg == "--snapshot-interval-cycles") {
-      opt.supervisor.snapshot_interval_cycles =
-          std::strtoull(value(), nullptr, 10);
+      so.snapshot_interval_cycles = u64(arg, value());
     } else if (arg == "--max-rss-mb") {
-      opt.supervisor.max_rss_mb = std::strtoull(value(), nullptr, 10);
+      so.max_rss_mb = u64(arg, value());
     } else if (arg == "--progress-watchdog") {
-      opt.progress_watchdog_cycles = std::strtoull(value(), nullptr, 10);
+      opt.progress_watchdog_cycles = u64(arg, value());
     } else if (arg == "--debug-crash-cell") {
-      opt.supervisor.debug_crash_cell = std::atoi(value());
+      so.debug_crash_cell = cell(arg, value());
     } else if (arg == "--debug-hang-cell") {
-      opt.supervisor.debug_hang_cell = std::atoi(value());
+      so.debug_hang_cell = cell(arg, value());
     } else if (arg == "--debug-throw-cell") {
-      opt.supervisor.debug_throw_cell = std::atoi(value());
+      so.debug_throw_cell = cell(arg, value());
     } else if (arg == "--debug-kill-cell") {
-      opt.supervisor.debug_kill_cell = std::atoi(value());
+      so.debug_kill_cell = cell(arg, value());
     } else if (arg == "--debug-kill-cycle") {
-      opt.supervisor.debug_kill_cycle = std::strtoull(value(), nullptr, 10);
+      so.debug_kill_cycle = u64(arg, value());
     } else if (arg == "--debug-crash-attempts") {
-      opt.supervisor.debug_crash_attempts =
-          static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
+      so.debug_crash_attempts = u32(arg, value());
     } else if (arg == "--trace") {
       opt.trace.out_path = value();
       opt.trace.enabled = true;
@@ -480,27 +348,27 @@ SweepOptions parse_sweep_flags(int argc, char** argv,
     } else if (arg == "--check-invariants") {
       opt.trace.check_invariants = true;
     } else if (arg == "--fault-rate") {
-      const double r = std::strtod(value(), nullptr);
+      const double r = rate(arg, value());
       opt.fault.link_bit_flip_rate = r;
       opt.fault.llc_bit_flip_rate = r;
       opt.fault.enabled = true;
     } else if (arg == "--fault-link-rate") {
-      opt.fault.link_bit_flip_rate = std::strtod(value(), nullptr);
+      opt.fault.link_bit_flip_rate = rate(arg, value());
       opt.fault.enabled = true;
     } else if (arg == "--fault-llc-rate") {
-      opt.fault.llc_bit_flip_rate = std::strtod(value(), nullptr);
+      opt.fault.llc_bit_flip_rate = rate(arg, value());
       opt.fault.enabled = true;
     } else if (arg == "--fault-drop-rate") {
-      opt.fault.flit_drop_rate = std::strtod(value(), nullptr);
+      opt.fault.flit_drop_rate = rate(arg, value());
       opt.fault.enabled = true;
     } else if (arg == "--fault-dup-rate") {
-      opt.fault.flit_duplicate_rate = std::strtod(value(), nullptr);
+      opt.fault.flit_duplicate_rate = rate(arg, value());
       opt.fault.enabled = true;
     } else if (arg == "--fault-engine-rate") {
-      opt.fault.engine_fault_rate = std::strtod(value(), nullptr);
+      opt.fault.engine_fault_rate = rate(arg, value());
       opt.fault.enabled = true;
     } else if (arg == "--fault-stall-rate") {
-      opt.fault.engine_stall_rate = std::strtod(value(), nullptr);
+      opt.fault.engine_stall_rate = rate(arg, value());
       opt.fault.enabled = true;
     } else if (arg == "--fault-crc") {
       const std::string m = value();
@@ -521,20 +389,18 @@ SweepOptions parse_sweep_flags(int argc, char** argv,
       }
       opt.fault.enabled = true;
     } else if (arg == "--hard-fault-rate") {
-      opt.fault.hard_fault_rate = std::strtod(value(), nullptr);
+      opt.fault.hard_fault_rate = rate(arg, value());
       opt.fault.enabled = true;
     } else if (arg == "--fault-retries") {
-      opt.fault.max_retries =
-          static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      opt.fault.max_retries = u32(arg, value());
     } else if (arg == "--fault-backoff") {
-      opt.fault.retry_backoff_base =
-          static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      opt.fault.retry_backoff_base = u32(arg, value());
     } else if (arg == "--shard") {
-      const char* v = value();
-      char* sep = nullptr;
-      opt.shard_index = static_cast<unsigned>(std::strtoul(v, &sep, 10));
-      if (!sep || (*sep != '/' && *sep != ':')) usage(argv[0], 2);
-      opt.shard_count = static_cast<unsigned>(std::strtoul(sep + 1, nullptr, 10));
+      const std::string v = value();
+      const std::size_t sep = v.find_first_of("/:");
+      if (sep == std::string::npos) bad(arg, v.c_str());
+      opt.shard_index = u32(arg, v.substr(0, sep).c_str());
+      opt.shard_count = u32(arg, v.substr(sep + 1).c_str());
       if (opt.shard_count == 0 || opt.shard_index >= opt.shard_count)
         usage(argv[0], 2);
     } else if (arg.size() > 1 && arg[0] == '-') {
@@ -543,6 +409,12 @@ SweepOptions parse_sweep_flags(int argc, char** argv,
     } else {
       positional.push_back(arg);
     }
+  }
+  // An in-process cell has no wall clock to enforce (see run_sweep).
+  if (!so.isolate && (opt.cell_timeout_ms > 0 || so.debug_hang_cell >= 0)) {
+    std::fprintf(stderr,
+                 "--timeout-ms and --debug-hang-cell need --isolate\n");
+    usage(argv[0], 2);
   }
   return opt;
 }

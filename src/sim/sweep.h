@@ -8,16 +8,17 @@
 //     — a pure function of the cell's position in the sweep, never of
 //     execution order — and results are aggregated in input order, so an
 //     N-thread run emits bit-identical metrics to a serial run.
-//   - Robustness: a cell that throws is retried up to max_attempts times and
-//     then recorded as Failed (with the exception text) instead of aborting
-//     the whole sweep; an optional wall-clock timeout records TimedOut and
-//     reclaims the worker via the cell's cooperative cancellation token.
-//   - Crash resilience: with SupervisorOptions active (--isolate,
-//     --checkpoint-dir, --resume) each cell runs in a forked child process,
-//     so a SIGSEGV or a hard hang kills one cell — retried with backoff,
-//     postmortem black box on disk — never the sweep. Completed cells are
-//     journaled to an append-only manifest and --resume replays them
-//     byte-identically (see supervisor.h).
+//   - Robustness: a cell that throws is retried up to supervisor.max_retries
+//     times with backoff and then recorded as Failed (with the exception
+//     text) instead of aborting the whole sweep. An in-process cell has a
+//     deterministic budget (its warm-up and measure cycles, plus the
+//     optional --progress-watchdog); a wall-clock budget needs --isolate.
+//   - Crash resilience: with --isolate each cell runs in a forked child
+//     process, so a SIGSEGV or a hard hang kills one cell — retried with
+//     backoff, postmortem black box on disk — never the sweep. With
+//     --checkpoint-dir (either mode) finished cells are journaled to an
+//     append-only manifest and --resume replays them byte-identically (see
+//     supervisor.h).
 //   - Sharding: `--shard i/k` splits a sweep across machines by cell group,
 //     so rows that normalize against a sibling cell stay intact.
 #pragma once
@@ -32,9 +33,9 @@
 
 namespace disco::sim {
 
-/// Crash-resilient execution knobs (see supervisor.h). The supervisor takes
-/// over the sweep when any of these is set; with all defaults the sweep runs
-/// on the classic in-process thread pool.
+/// Retry, checkpoint and crash-resilience knobs (see supervisor.h). With
+/// `isolate` each cell attempt runs in a forked child; otherwise on the
+/// in-process thread pool. Retries, backoff and the journal work in both.
 struct SupervisorOptions {
   /// Run each cell attempt in a forked child process; a crash or hard hang
   /// costs one cell attempt, never the sweep.
@@ -47,10 +48,9 @@ struct SupervisorOptions {
   std::string resume_manifest;
   /// Extra attempts after the first for a crashed / timed-out / failed cell.
   unsigned max_retries = 1;
-  /// Delay before retry r is retry_backoff_ms << (r - 1).
+  /// Delay before retry r is retry_backoff_ms << (r - 1), saturating.
   std::uint64_t retry_backoff_ms = 100;
-  /// After a timeout: SIGTERM (child) or cancellation-token (thread) grace
-  /// before escalating to SIGKILL / detach.
+  /// Isolated mode: grace between a timed-out child's SIGTERM and SIGKILL.
   std::uint64_t hang_grace_ms = 2000;
 
   // --- mid-cell checkpointing ------------------------------------------
@@ -70,7 +70,8 @@ struct SupervisorOptions {
   // --- deterministic fault hooks for tests and the CI recovery drill ---
   /// Cell index that SIGSEGVs (isolated) / throws (in-process); -1 = none.
   int debug_crash_cell = -1;
-  /// Cell index that hangs until killed / cancelled; -1 = none.
+  /// Cell index whose isolated child hangs until killed; -1 = none.
+  /// Needs `isolate` (run_sweep rejects it in-process).
   int debug_hang_cell = -1;
   /// Cell index that throws a non-std::exception value; -1 = none.
   int debug_throw_cell = -1;
@@ -82,13 +83,6 @@ struct SupervisorOptions {
   /// The hooks fire only while the cell's attempt number is <= this, so a
   /// retried cell recovers (set very high to exhaust retries instead).
   unsigned debug_crash_attempts = 1;
-
-  bool active() const {
-    return isolate || !checkpoint_dir.empty() || !resume_manifest.empty() ||
-           snapshot_interval_cycles > 0 || max_rss_mb > 0 ||
-           debug_crash_cell >= 0 || debug_hang_cell >= 0 ||
-           debug_throw_cell >= 0 || debug_kill_cell >= 0;
-  }
 };
 
 struct SweepOptions {
@@ -98,10 +92,8 @@ struct SweepOptions {
   std::uint64_t base_seed = 1;
   /// When false, cells keep the seed already in their SystemConfig.
   bool reseed_cells = true;
-  /// Attempts per cell before it is recorded as Failed (>= 1). The
-  /// supervisor uses supervisor.max_retries instead.
-  unsigned max_attempts = 2;
-  /// Wall-clock budget per cell attempt; 0 disables the timeout.
+  /// Wall-clock budget per isolated cell attempt; 0 disables the timeout.
+  /// Needs supervisor.isolate (run_sweep rejects it in-process).
   std::uint64_t cell_timeout_ms = 0;
   /// Run only cells whose group satisfies group % shard_count == shard_index;
   /// the rest are recorded as Skipped.
@@ -190,9 +182,11 @@ struct SweepResult {
   std::vector<CellResult> ok_results() const;
 };
 
-/// Run the sweep. Dispatches to the crash-resilient supervisor
-/// (run_sweep_supervised) when opt.supervisor.active(); may throw
-/// std::runtime_error if a resume manifest does not match the sweep.
+/// Run the sweep: in forked children when opt.supervisor.isolate, else on
+/// the in-process thread pool (defined in supervisor.cpp). Throws
+/// std::invalid_argument when a wall-clock budget or a debug hang is asked
+/// of an in-process sweep, and std::runtime_error when a resume manifest
+/// does not match the sweep.
 SweepResult run_sweep(const std::vector<SweepCell>& cells,
                       const SweepOptions& opt);
 
@@ -206,7 +200,7 @@ void run_indexed(std::size_t count, const std::function<void(std::size_t)>& fn,
 
 /// Install SIGINT/SIGTERM handlers that raise the process interrupt flag
 /// (common/interrupt.h): workers stop claiming cells, running cells unwind
-/// via their cancellation tokens, partial results and the checkpoint
+/// through cmp::CancelledError, partial results and the checkpoint
 /// manifest are flushed, and drivers exit with code 130. A second signal
 /// exits immediately.
 void install_interrupt_handlers();
@@ -214,9 +208,12 @@ void install_interrupt_handlers();
 /// Parse the standard sweep flags (--threads N, --shard i/k, --seed S,
 /// --no-progress, --timeout-ms T, --isolate, --checkpoint-dir D, --resume M,
 /// --help, ...) out of argv; every unrecognized argument is appended to
-/// `positional` in order. Exits with a usage message on malformed flags or
-/// --help. The DISCO_DEBUG_{CRASH,HANG,THROW}_CELL / DISCO_DEBUG_CRASH_ATTEMPTS
-/// environment variables seed the corresponding debug hooks.
+/// `positional` in order. Exits with a usage message (code 2) on malformed
+/// flags — a number that is not all digits or out of range, or
+/// --timeout-ms / --debug-hang-cell without --isolate — and code 0 on
+/// --help. The DISCO_DEBUG_{CRASH,HANG,THROW,KILL}_CELL /
+/// DISCO_DEBUG_CRASH_ATTEMPTS / DISCO_DEBUG_KILL_CYCLE environment variables
+/// seed the corresponding debug hooks and are parsed as strictly.
 SweepOptions parse_sweep_flags(int argc, char** argv,
                                std::vector<std::string>& positional);
 

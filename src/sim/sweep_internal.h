@@ -1,8 +1,7 @@
-// Internals shared between the sweep engine (sweep.cpp) and the crash
-// supervisor (supervisor.cpp): the thread pool, the per-attempt runner with
-// cooperative-cancellation timeout handling, cell preparation and outcome
-// accounting. Not part of the public sweep API; tests include it to poke at
-// attempt-thread accounting.
+// Internals shared between the sweep engine (sweep.cpp) and the sweep
+// driver (run_sweep in supervisor.cpp): the thread pool, the progress line,
+// exception rendering, cell preparation and outcome accounting. Not part of
+// the public sweep API; bench_perf includes it for resolve_threads.
 #pragma once
 
 #include <atomic>
@@ -75,25 +74,6 @@ void run_pool(std::size_t count, unsigned threads,
 /// called from inside a catch block. This is what keeps a cell that throws
 /// `42` or a C string a structured CellResult error instead of a terminate().
 std::string describe_current_exception();
-
-/// Attempt threads currently alive (including detached, wedged ones). Tests
-/// assert this returns to zero after a timed-out cell, proving the timeout
-/// path reclaims its thread instead of leaking it.
-std::size_t live_attempt_threads();
-
-/// Optional per-attempt hook, run on the attempt thread (with that attempt's
-/// cancellation token) just before run_cell. The supervisor injects its
-/// debug crash/hang/throw faults through this.
-using AttemptHook = std::function<void(const std::atomic<bool>* cancel)>;
-
-/// One attempt at a cell. Returns Ok/Failed/Interrupted, or TimedOut when a
-/// wall-clock budget is set and exceeded — the attempt's cancellation token
-/// is then fired and the thread joined within `hang_grace_ms` (the sim loop
-/// polls the token every few hundred cycles); only a truly wedged attempt is
-/// detached.
-CellStatus run_attempt(const SweepCell& cell, std::uint64_t timeout_ms,
-                       std::uint64_t hang_grace_ms, const AttemptHook& hook,
-                       CellResult& result, std::string& error);
 
 /// Resolve groups / seeds / trace config / watchdog per cell, record
 /// skipped-by-shard cells in `res`, and append the runnable cell indices to

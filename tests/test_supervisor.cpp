@@ -1,27 +1,26 @@
 // Crash-resilient sweep supervisor: process isolation survives SIGSEGV,
-// hang watchdog + SIGTERM/SIGKILL escalation, retry with backoff,
-// checkpoint/resume byte-identity, in-sim deadlock/livelock/starvation
-// classification, cooperative-cancellation thread reclamation, and the
-// SIGINT flush-and-resume path. The deterministic debug fault hooks
-// (--debug-crash-cell & co.) stand in for real crashes and hangs.
+// the isolated wall-clock budget with SIGTERM/SIGKILL escalation, retry
+// with backoff, checkpoint/resume byte-identity, in-sim
+// deadlock/livelock/starvation classification, and the SIGINT
+// flush-and-resume path. The deterministic debug fault hooks
+// (--debug-crash-cell & co.) stand in for real crashes and hangs. The
+// wall-clock budgets here only ever stop a deliberately hung child; they
+// are set far above a healthy cell's run time so load cannot trip them.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 #include "cmp/system.h"
 #include "common/interrupt.h"
 #include "sim/json_export.h"
 #include "sim/supervisor.h"
 #include "sim/sweep.h"
-#include "sim/sweep_internal.h"
 #include "sim/wire.h"
 #include "workload/profile.h"
 
@@ -226,7 +225,7 @@ TEST(Supervisor, HungChildIsKilledAndRetried) {
   auto cells = small_grid();
   cells.resize(2);
   SweepOptions opt = quiet(2);
-  opt.cell_timeout_ms = 250;
+  opt.cell_timeout_ms = 3000;
   opt.supervisor.isolate = true;
   opt.supervisor.max_retries = 1;
   opt.supervisor.retry_backoff_ms = 10;
@@ -361,7 +360,7 @@ SweepCell starved_cell() {
 TEST(Watchdog, TripsOnZeroCreditStarvationWithClassifiedError) {
   SweepOptions opt = quiet(1);
   opt.progress_watchdog_cycles = 2000;
-  opt.max_attempts = 1;
+  opt.supervisor.max_retries = 0;
   const SweepResult r = run_sweep({starved_cell()}, opt);
   ASSERT_EQ(r.cells[0].status, CellStatus::Failed);
   EXPECT_NE(r.cells[0].error.find("watchdog"), std::string::npos)
@@ -399,48 +398,6 @@ TEST(Watchdog, IsolatedTripWritesPostmortemBlackBox) {
 }
 
 // ---------------------------------------------------------------------------
-// Timed-out-cell thread reclamation (the in-process pool-slot leak fix)
-// ---------------------------------------------------------------------------
-
-TEST(Cancellation, TimedOutCellReleasesItsAttemptThread) {
-  auto cells = small_grid();
-  cells.resize(1);
-  cells[0].opt.measure_cycles = 50'000'000;  // far beyond the budget
-  SweepOptions opt = quiet(1);
-  opt.cell_timeout_ms = 50;
-  const SweepResult r = run_sweep(cells, opt);
-  EXPECT_EQ(r.cells[0].status, CellStatus::TimedOut);
-  // The cancellation token is polled every 256 cycles, so the attempt thread
-  // must unwind almost immediately — not run 50M cycles to completion.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (detail::live_attempt_threads() != 0 &&
-         std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(detail::live_attempt_threads(), 0u)
-      << "timed-out attempt thread leaked (pool slot not reclaimed)";
-}
-
-TEST(Cancellation, SupervisedTimeoutIsRetriedAndRecovers) {
-  auto cells = small_grid();
-  cells.resize(1);
-  SweepOptions opt = quiet(1);
-  // Generous budget: attempt 1 is a *deliberate* hang so it times out at any
-  // budget, while the healthy retry must never be killed by a slow machine.
-  opt.cell_timeout_ms = 2000;
-  opt.supervisor.debug_hang_cell = 0;  // in-process hang, attempt 1 only
-  opt.supervisor.debug_crash_attempts = 1;
-  opt.supervisor.max_retries = 1;
-  opt.supervisor.retry_backoff_ms = 10;
-  opt.supervisor.hang_grace_ms = 2000;
-  const SweepResult r = run_sweep(cells, opt);
-  EXPECT_TRUE(r.all_ok()) << r.cells[0].error;
-  EXPECT_EQ(r.cells[0].attempts, 2u)
-      << "the supervisor retries timeouts (unlike the plain sweep)";
-  EXPECT_EQ(detail::live_attempt_threads(), 0u);
-}
-
-// ---------------------------------------------------------------------------
 // The acceptance drill: one crash + one hang in one isolated sweep
 // ---------------------------------------------------------------------------
 
@@ -451,7 +408,7 @@ TEST(Supervisor, CrashAndHangInOneSweepRecoverEndToEnd) {
   const std::string reference = as_json(run_sweep(cells, quiet(2)));
 
   SweepOptions opt = quiet(2);
-  opt.cell_timeout_ms = 300;
+  opt.cell_timeout_ms = 3000;
   opt.supervisor.isolate = true;
   opt.supervisor.checkpoint_dir = dir.str();
   opt.supervisor.max_retries = 1;

@@ -1,9 +1,11 @@
 // Parallel sweep engine: thread-count invariance of the emitted metrics
 // (the determinism guarantee benches rely on), group-based sharding,
-// failure/timeout isolation, and the generic parallel map.
+// failure/timeout isolation and retry counting, strict sweep-flag parsing,
+// and the generic parallel map.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
 #include <sstream>
 
@@ -118,7 +120,8 @@ TEST(SweepEngine, FailedCellIsRecordedNotFatal) {
   auto cells = small_grid();
   cells[1].cfg.algorithm = "no-such-algorithm";  // make_algorithm throws
   SweepOptions opt = quiet(2);
-  opt.max_attempts = 3;
+  opt.supervisor.max_retries = 2;
+  opt.supervisor.retry_backoff_ms = 0;
   const SweepResult r = run_sweep(cells, opt);
   EXPECT_EQ(r.failed, 1u);
   EXPECT_EQ(r.completed, cells.size() - 1);
@@ -132,17 +135,79 @@ TEST(SweepEngine, FailedCellIsRecordedNotFatal) {
   EXPECT_EQ(r.ok_results().size(), cells.size() - 1);
 }
 
+TEST(SweepEngine, ManyRetriesAreCountedAndBackoffSaturates) {
+  // 81 attempts: past the 64th the backoff shift would exceed the width of
+  // the delay, so it must saturate rather than overflow (a zero base keeps
+  // the test instant).
+  auto cells = small_grid();
+  cells.resize(1);
+  cells[0].cfg.algorithm = "no-such-algorithm";
+  SweepOptions opt = quiet(1);
+  opt.supervisor.max_retries = 80;
+  opt.supervisor.retry_backoff_ms = 0;
+  const SweepResult r = run_sweep(cells, opt);
+  EXPECT_EQ(r.cells[0].status, CellStatus::Failed);
+  EXPECT_EQ(r.cells[0].attempts, 81u);
+  EXPECT_EQ(r.failed, 1u);
+}
+
 TEST(SweepEngine, TimedOutCellIsRecordedNotFatal) {
   auto cells = small_grid();
   cells.resize(1);
-  cells[0].opt.measure_cycles = 200000;  // far beyond the budget below
+  cells[0].opt.measure_cycles = 50'000'000;  // far beyond the budget below
   SweepOptions opt = quiet(1);
   opt.cell_timeout_ms = 25;
+  opt.supervisor.isolate = true;  // only a forked child has a wall clock
+  opt.supervisor.max_retries = 0;
+  opt.supervisor.hang_grace_ms = 100;
   const SweepResult r = run_sweep(cells, opt);
   EXPECT_EQ(r.cells[0].status, CellStatus::TimedOut);
-  EXPECT_EQ(r.cells[0].attempts, 1u) << "timeouts are not retried";
+  EXPECT_EQ(r.cells[0].attempts, 1u);
   EXPECT_EQ(r.failed, 1u);
   EXPECT_TRUE(r.ok_results().empty());
+}
+
+TEST(SweepEngine, WallClockKnobsWithoutIsolateAreRejected) {
+  const auto cells = small_grid();
+  SweepOptions timeout = quiet(1);
+  timeout.cell_timeout_ms = 100;
+  EXPECT_THROW(run_sweep(cells, timeout), std::invalid_argument);
+  SweepOptions hang = quiet(1);
+  hang.supervisor.debug_hang_cell = 0;
+  EXPECT_THROW(run_sweep(cells, hang), std::invalid_argument);
+}
+
+/// parse_sweep_flags on a literal argv; exits the (death-test) process.
+void parse(std::vector<std::string> args) {
+  args.insert(args.begin(), "sweep");
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  std::vector<std::string> positional;
+  (void)parse_sweep_flags(static_cast<int>(argv.size()), argv.data(),
+                          positional);
+  std::exit(0);
+}
+
+TEST(SweepEngine, MalformedFlagsAndWallClockWithoutIsolateAreUsageErrors) {
+  const auto usage_error = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(parse({"--max-retries", "-1"}), usage_error, "--max-retries");
+  EXPECT_EXIT(parse({"--max-retries", "4294967295"}), usage_error, "");
+  EXPECT_EXIT(parse({"--threads", "abc"}), usage_error, "--threads");
+  EXPECT_EXIT(parse({"--threads", "4x"}), usage_error, "--threads");
+  EXPECT_EXIT(parse({"--seed", "99999999999999999999"}), usage_error, "");
+  EXPECT_EXIT(parse({"--shard", "0/x"}), usage_error, "");
+  EXPECT_EXIT(parse({"--fault-rate", "2"}), usage_error, "");
+  EXPECT_EXIT(parse({"--timeout-ms", "100"}), usage_error, "--isolate");
+  EXPECT_EXIT(parse({"--debug-hang-cell", "0"}), usage_error, "--isolate");
+  EXPECT_EXIT(
+      {
+        ::setenv("DISCO_DEBUG_HANG_CELL", "0", 1);
+        parse({});
+      },
+      usage_error, "--isolate");
+  EXPECT_EXIT(parse({"--isolate", "--timeout-ms", "100", "--debug-hang-cell",
+                     "0", "--max-retries", "4294967294", "--threads", "8"}),
+              ::testing::ExitedWithCode(0), "");
 }
 
 TEST(SweepEngine, RunIndexedCoversEveryIndexExactlyOnce) {
