@@ -189,83 +189,60 @@ std::uint64_t SegmentedArray::used_segments() const {
 // ---------------------------------------------------------------------------
 // Checkpoint/restore
 
-void L1Array::save_state(snap::Writer& w) const {
-  w.u32(sets_);
-  w.u32(ways_);
-  for (const L1Line& line : lines_) {
-    w.b(line.valid());
-    if (!line.valid()) continue;
-    w.u64(line.addr);
-    w.u8(static_cast<std::uint8_t>(line.state));
-    w.raw(std::span<const std::uint8_t>(line.data));
-    w.u64(line.lru);
+template <class Self, class Ar>
+void L1Array::io(Self& s, Ar& ar) {
+  ar.count(s.sets_, "snapshot: L1 array geometry mismatch");
+  ar.count(s.ways_, "snapshot: L1 array geometry mismatch");
+  for (auto& line : s.lines_) {
+    if constexpr (Ar::kLoading) line = L1Line{};
+    bool valid = line.valid();
+    ar.b(valid);
+    if (!valid) continue;
+    ar.u64(line.addr);
+    ar.en(line.state, L1State::M);
+    ar.raw(line.data);
+    ar.u64(line.lru);
   }
 }
 
-void L1Array::restore_state(snap::Reader& r) {
-  if (r.u32() != sets_ || r.u32() != ways_)
-    throw snap::SnapshotError("snapshot: L1 array geometry mismatch");
-  for (L1Line& line : lines_) {
-    line = L1Line{};
-    if (!r.b()) continue;
-    line.addr = r.u64();
-    line.state = static_cast<L1State>(r.u8());
-    r.raw(std::span<std::uint8_t>(line.data));
-    line.lru = r.u64();
-  }
-}
+void L1Array::serialize(snap::Writer& w) const { io(*this, w); }
+void L1Array::serialize(snap::Reader& r) { io(*this, r); }
 
-void SegmentedArray::save_state(snap::Writer& w) const {
-  w.u32(sets_);
-  w.u32(ways_);
-  w.u32(tag_factor_);
-  for (const auto& set : sets_storage_) {
-    for (const L2Line& line : set) {
-      w.b(line.valid);
+template <class Self, class Ar>
+void SegmentedArray::io(Self& s, Ar& ar) {
+  ar.count(s.sets_, "snapshot: L2 array geometry mismatch");
+  ar.count(s.ways_, "snapshot: L2 array geometry mismatch");
+  ar.count(s.tag_factor_, "snapshot: L2 array geometry mismatch");
+  for (auto& set : s.sets_storage_) {
+    for (auto& line : set) {
+      if constexpr (Ar::kLoading) line = L2Line{};
+      ar.b(line.valid);
       if (!line.valid) continue;
-      w.u64(line.addr);
-      w.b(line.dirty);
-      w.b(line.busy);
-      w.u32(line.segments);
-      w.u64(line.lru);
-      w.raw(std::span<const std::uint8_t>(line.data));
-      noc::save_opt_encoded(w, line.stored);
-      w.u8(static_cast<std::uint8_t>(line.dir.kind));
-      w.u64(line.dir.sharers);
-      w.u16(line.dir.owner);
+      ar.u64(line.addr);
+      ar.b(line.dirty);
+      ar.b(line.busy);
+      ar.u32(line.segments);
+      ar.u64(line.lru);
+      ar.raw(line.data);
+      noc::serialize(ar, line.stored);
+      ar.en(line.dir.kind, DirInfo::Kind::Excl);
+      ar.u64(line.dir.sharers);
+      ar.u16(line.dir.owner);
     }
   }
-  for (const std::uint32_t u : used_segments_) w.u32(u);
+  for (auto& u : s.used_segments_) ar.u32(u);
+  if constexpr (Ar::kLoading) {
+    // Rebuild the compact tag store from the restored lines.
+    for (std::size_t set = 0; set < s.sets_; ++set) {
+      for (std::size_t i = 0; i < s.slots_per_set_; ++i) {
+        const L2Line& line = s.sets_storage_[set][i];
+        s.tags_[set * s.slots_per_set_ + i] = line.valid ? line.addr : kNoTag;
+      }
+    }
+  }
 }
 
-void SegmentedArray::restore_state(snap::Reader& r) {
-  if (r.u32() != sets_ || r.u32() != ways_ || r.u32() != tag_factor_)
-    throw snap::SnapshotError("snapshot: L2 array geometry mismatch");
-  for (auto& set : sets_storage_) {
-    for (L2Line& line : set) {
-      line = L2Line{};
-      if (!r.b()) continue;
-      line.valid = true;
-      line.addr = r.u64();
-      line.dirty = r.b();
-      line.busy = r.b();
-      line.segments = r.u32();
-      line.lru = r.u64();
-      r.raw(std::span<std::uint8_t>(line.data));
-      line.stored = noc::load_opt_encoded(r);
-      line.dir.kind = static_cast<DirInfo::Kind>(r.u8());
-      line.dir.sharers = r.u64();
-      line.dir.owner = r.u16();
-    }
-  }
-  for (std::uint32_t& u : used_segments_) u = r.u32();
-  // Rebuild the compact tag store from the restored lines.
-  for (std::size_t set = 0; set < sets_; ++set) {
-    for (std::size_t i = 0; i < slots_per_set_; ++i) {
-      const L2Line& line = sets_storage_[set][i];
-      tags_[set * slots_per_set_ + i] = line.valid ? line.addr : kNoTag;
-    }
-  }
-}
+void SegmentedArray::serialize(snap::Writer& w) const { io(*this, w); }
+void SegmentedArray::serialize(snap::Reader& r) { io(*this, r); }
 
 }  // namespace disco::cache

@@ -53,10 +53,13 @@ class L1Array {
 
   /// Checkpoint/restore: geometry-checked; only valid lines carry content
   /// (invalid slots restore to the default line).
-  void save_state(snap::Writer& w) const;
-  void restore_state(snap::Reader& r);
+  void serialize(snap::Writer& w) const;
+  void serialize(snap::Reader& r);
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& ar);
+
   std::uint32_t sets_;
   std::uint32_t ways_;
   std::vector<L1Line> lines_;  // sets_ x ways_
@@ -146,10 +149,13 @@ class SegmentedArray {
 
   /// Checkpoint/restore: geometry-checked; tag-slot positions are preserved
   /// (install picks the first free way, so slot order is architectural).
-  void save_state(snap::Writer& w) const;
-  void restore_state(snap::Reader& r);
+  void serialize(snap::Writer& w) const;
+  void serialize(snap::Reader& r);
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& ar);
+
   std::vector<L2Line>& set_lines(std::size_t set) { return sets_storage_[set]; }
 
   /// Sentinel for an empty tag slot. Real tags are block-aligned addresses,

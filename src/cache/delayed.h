@@ -50,37 +50,30 @@ class DelayedInjector {
     }
   }
 
-  void save_state(snap::Writer& w, noc::PacketTable& t) const {
-    std::vector<const Entry*> sorted;
-    sorted.reserve(queue_.size());
-    for (const Entry& e : queue_) sorted.push_back(&e);
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Entry* a, const Entry* b) { return Entry::later(*b, *a); });
-    w.u64(sorted.size());
-    for (const Entry* e : sorted) {
-      w.u64(e->when);
-      w.u64(e->seq);
-      t.save_ref(w, e->pkt);
-    }
-    w.u64(seq_);
-  }
-
-  void restore_state(snap::Reader& r, const noc::PacketTable& t) {
-    queue_.clear();
-    const std::uint64_t n = r.u64();
-    queue_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Entry e;
-      e.when = r.u64();
-      e.seq = r.u64();
-      e.pkt = t.load_ref(r);
-      queue_.push_back(std::move(e));
-    }
-    std::make_heap(queue_.begin(), queue_.end(), Entry::later);
-    seq_ = r.u64();
-  }
+  void serialize(snap::Writer& w, noc::PacketTable& t) const { io(*this, w, t); }
+  void serialize(snap::Reader& r, const noc::PacketTable& t) { io(*this, r, t); }
 
  private:
+  template <class Self, class Ar, class Tab>
+  static void io(Self& s, Ar& ar, Tab& t) {
+    std::vector<Entry> entries;  // the canonical (when, seq) order
+    if constexpr (!Ar::kLoading) {
+      entries = s.queue_;
+      std::sort(entries.begin(), entries.end(),
+                [](const Entry& a, const Entry& b) { return Entry::later(b, a); });
+    }
+    ar.seq(entries, [&](auto& e) {
+      ar.u64(e.when);
+      ar.u64(e.seq);
+      t.ref(ar, e.pkt);
+    });
+    ar.u64(s.seq_);
+    if constexpr (Ar::kLoading) {
+      s.queue_ = std::move(entries);
+      std::make_heap(s.queue_.begin(), s.queue_.end(), Entry::later);
+    }
+  }
+
   struct Entry {
     Cycle when;
     std::uint64_t seq;  ///< FIFO tie-break for same-cycle entries

@@ -69,8 +69,8 @@ class L1Cache final : public noc::PacketSink {
 
   /// Checkpoint/restore of the full controller state (array, outbound
   /// queue, MSHRs, eviction buffer). Maps serialize sorted by address.
-  void save_state(snap::Writer& w, noc::PacketTable& t) const;
-  void restore_state(snap::Reader& r, const noc::PacketTable& t);
+  void serialize(snap::Writer& w, noc::PacketTable& t) const;
+  void serialize(snap::Reader& r, const noc::PacketTable& t);
 
   // --- functional-warmup API (no timing, no messages; used only before
   // the timing phase to pre-populate cache and directory state) ---
@@ -87,6 +87,9 @@ class L1Cache final : public noc::PacketSink {
   L1Line* warm_lookup(Addr blk) { return array_.lookup(blk); }
 
  private:
+  template <class Self, class Ar, class Tab>
+  static void io(Self& s, Ar& ar, Tab& t);
+
   struct Waiter {
     std::uint64_t op_id;
     bool is_store;

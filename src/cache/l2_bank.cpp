@@ -590,72 +590,34 @@ void L2Bank::warm_update(L2Line& line, const BlockBytes& data, bool dirty,
 // ---------------------------------------------------------------------------
 // Checkpoint/restore
 
-void L2Bank::save_state(snap::Writer& w, noc::PacketTable& t) const {
-  array_.save_state(w);
-  out_.save_state(w, t);
-
-  std::vector<Addr> keys;
-  keys.reserve(txns_.size());
-  for (const auto& [addr, txn] : txns_) keys.push_back(addr);
-  std::sort(keys.begin(), keys.end());
-  w.u64(keys.size());
-  for (const Addr addr : keys) {
-    const Txn& txn = txns_.at(addr);
-    w.u64(addr);
-    w.u8(static_cast<std::uint8_t>(txn.kind));
-    w.u8(static_cast<std::uint8_t>(txn.phase));
-    w.u64(txn.addr);
-    t.save_ref(w, txn.req);
-    w.u64(txn.queue.size());
-    for (const noc::PacketPtr& q : txn.queue) t.save_ref(w, q);
-    w.u32(txn.pending_acks);
-    w.u64(txn.parent);
-    w.raw(std::span<const std::uint8_t>(txn.data));
-    w.b(txn.have_data);
-    w.b(txn.data_dirty);
-    w.b(txn.filled_from_mem);
-    noc::save_opt_encoded(w, txn.wire);
-    w.u8(static_cast<std::uint8_t>(txn.after_space));
-  }
-
-  w.u64(replay_.size());
-  for (const noc::PacketPtr& p : replay_) t.save_ref(w, p);
-  w.u64(space_waiters_.size());
-  for (const Addr a : space_waiters_) w.u64(a);
+template <class Self, class Ar, class Tab>
+void L2Bank::io(Self& s, Ar& ar, Tab& t) {
+  s.array_.serialize(ar);
+  s.out_.serialize(ar, t);
+  ar.map(s.txns_, [&](auto& txn) {
+    ar.en(txn.kind, Txn::Kind::Eviction);
+    ar.en(txn.phase, Txn::Phase::SpaceWait);
+    ar.u64(txn.addr);
+    t.ref(ar, txn.req);
+    ar.seq(txn.queue, [&](auto& q) { t.ref(ar, q); });
+    ar.u32(txn.pending_acks);
+    ar.u64(txn.parent);
+    ar.raw(txn.data);
+    ar.b(txn.have_data);
+    ar.b(txn.data_dirty);
+    ar.b(txn.filled_from_mem);
+    noc::serialize(ar, txn.wire);
+    ar.en(txn.after_space, Txn::After::AbsorbPut);
+  });
+  ar.seq(s.replay_, [&](auto& p) { t.ref(ar, p); });
+  ar.seq(s.space_waiters_, [&](auto& a) { ar.u64(a); });
 }
 
-void L2Bank::restore_state(snap::Reader& r, const noc::PacketTable& t) {
-  array_.restore_state(r);
-  out_.restore_state(r, t);
-
-  txns_.clear();
-  const std::uint64_t n_txns = r.u64();
-  for (std::uint64_t i = 0; i < n_txns; ++i) {
-    const Addr key = r.u64();
-    Txn txn{};
-    txn.kind = static_cast<Txn::Kind>(r.u8());
-    txn.phase = static_cast<Txn::Phase>(r.u8());
-    txn.addr = r.u64();
-    txn.req = t.load_ref(r);
-    const std::uint64_t n_q = r.u64();
-    for (std::uint64_t j = 0; j < n_q; ++j) txn.queue.push_back(t.load_ref(r));
-    txn.pending_acks = r.u32();
-    txn.parent = r.u64();
-    r.raw(std::span<std::uint8_t>(txn.data));
-    txn.have_data = r.b();
-    txn.data_dirty = r.b();
-    txn.filled_from_mem = r.b();
-    txn.wire = noc::load_opt_encoded(r);
-    txn.after_space = static_cast<Txn::After>(r.u8());
-    txns_.emplace(key, std::move(txn));
-  }
-
-  replay_.clear();
-  const std::uint64_t n_replay = r.u64();
-  for (std::uint64_t i = 0; i < n_replay; ++i) replay_.push_back(t.load_ref(r));
-  space_waiters_.clear();
-  const std::uint64_t n_sw = r.u64();
-  for (std::uint64_t i = 0; i < n_sw; ++i) space_waiters_.push_back(r.u64());
+void L2Bank::serialize(snap::Writer& w, noc::PacketTable& t) const {
+  io(*this, w, t);
+}
+void L2Bank::serialize(snap::Reader& r, const noc::PacketTable& t) {
+  io(*this, r, t);
 }
 
 }  // namespace disco::cache

@@ -79,8 +79,8 @@ class L2Bank final : public noc::PacketSink {
   /// Checkpoint/restore of the full bank state (segmented array, outbound
   /// queue, transaction table, replay/space-wait queues). The transaction
   /// table serializes sorted by address.
-  void save_state(snap::Writer& w, noc::PacketTable& t) const;
-  void restore_state(snap::Reader& r, const noc::PacketTable& t);
+  void serialize(snap::Writer& w, noc::PacketTable& t) const;
+  void serialize(snap::Reader& r, const noc::PacketTable& t);
 
   // --- functional-warmup API (no timing, no messages) ---
   /// Callback invoked for lines functionally evicted to make room; the
@@ -95,6 +95,9 @@ class L2Bank final : public noc::PacketSink {
                    const WarmEvictFn& on_evict);
 
  private:
+  template <class Self, class Ar, class Tab>
+  static void io(Self& s, Ar& ar, Tab& t);
+
   struct Txn {
     enum class Kind { Request, PutAbsorb, Eviction };
     enum class Phase { Start, RecallWait, InvWait, MemWait, SpaceWait };

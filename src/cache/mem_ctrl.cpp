@@ -60,36 +60,19 @@ void MemCtrl::deliver(noc::PacketPtr pkt, Cycle now) {
 
 void MemCtrl::tick(Cycle now) { out_.tick(now); }
 
-void MemCtrl::save_state(snap::Writer& w, noc::PacketTable& t) const {
-  out_.save_state(w, t);
-  w.u64(bank_free_at_.size());
-  for (const Cycle c : bank_free_at_) w.u64(c);
-
-  std::vector<Addr> keys;
-  keys.reserve(store_.size());
-  for (const auto& [addr, blk] : store_) keys.push_back(addr);
-  std::sort(keys.begin(), keys.end());
-  w.u64(keys.size());
-  for (const Addr addr : keys) {
-    w.u64(addr);
-    w.raw(std::span<const std::uint8_t>(store_.at(addr)));
-  }
+template <class Self, class Ar, class Tab>
+void MemCtrl::io(Self& s, Ar& ar, Tab& t) {
+  s.out_.serialize(ar, t);
+  ar.count(s.bank_free_at_.size(), "snapshot: DRAM bank-count mismatch");
+  for (auto& c : s.bank_free_at_) ar.u64(c);
+  ar.map(s.store_, [&](auto& blk) { ar.raw(blk); });
 }
 
-void MemCtrl::restore_state(snap::Reader& r, const noc::PacketTable& t) {
-  out_.restore_state(r, t);
-  if (r.u64() != bank_free_at_.size())
-    throw snap::SnapshotError("snapshot: DRAM bank-count mismatch");
-  for (Cycle& c : bank_free_at_) c = r.u64();
-
-  store_.clear();
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const Addr addr = r.u64();
-    BlockBytes blk{};
-    r.raw(std::span<std::uint8_t>(blk));
-    store_.emplace(addr, blk);
-  }
+void MemCtrl::serialize(snap::Writer& w, noc::PacketTable& t) const {
+  io(*this, w, t);
+}
+void MemCtrl::serialize(snap::Reader& r, const noc::PacketTable& t) {
+  io(*this, r, t);
 }
 
 }  // namespace disco::cache

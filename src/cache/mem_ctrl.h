@@ -42,10 +42,13 @@ class MemCtrl final : public noc::PacketSink {
   /// Checkpoint/restore. The backing store serializes sorted by address
   /// (blocks never touched are never materialized, so the map holds exactly
   /// the touched set — deterministic across runs).
-  void save_state(snap::Writer& w, noc::PacketTable& t) const;
-  void restore_state(snap::Reader& r, const noc::PacketTable& t);
+  void serialize(snap::Writer& w, noc::PacketTable& t) const;
+  void serialize(snap::Reader& r, const noc::PacketTable& t);
 
  private:
+  template <class Self, class Ar, class Tab>
+  static void io(Self& s, Ar& ar, Tab& t);
+
   std::size_t bank_of(Addr addr) const {
     // Skip the NUCA-interleave bits so DRAM banks stay decorrelated from
     // the L2 bank that issued the request.

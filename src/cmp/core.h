@@ -40,51 +40,30 @@ class Core {
 
   /// Checkpoint/restore of the core's issue state and counters (the trace
   /// generator's stream position rides along).
-  void save_state(snap::Writer& w) const {
-    gen_.save_state(w);
-    w.b(pending_.has_value());
-    if (pending_.has_value()) {
-      w.u64(pending_->addr);
-      w.b(pending_->is_store);
-      w.u32(pending_->gap);
-    }
-    w.u32(gap_left_);
-    w.u32(outstanding_);
-    w.u64(inflight_ids_.size());
-    for (const std::uint64_t id : inflight_ids_) w.u64(id);  // std::set: sorted
-    w.u64(next_op_id_);
-    w.u64(ops_);
-    w.u64(loads_);
-    w.u64(stores_);
-    w.u64(stalls_);
-    w.u64(window_stalls_);
-    w.u64(blocked_stalls_);
-  }
-  void restore_state(snap::Reader& r) {
-    gen_.restore_state(r);
-    pending_.reset();
-    if (r.b()) {
-      workload::TraceOp op;
-      op.addr = r.u64();
-      op.is_store = r.b();
-      op.gap = r.u32();
-      pending_ = op;
-    }
-    gap_left_ = r.u32();
-    outstanding_ = r.u32();
-    inflight_ids_.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) inflight_ids_.insert(r.u64());
-    next_op_id_ = r.u64();
-    ops_ = r.u64();
-    loads_ = r.u64();
-    stores_ = r.u64();
-    stalls_ = r.u64();
-    window_stalls_ = r.u64();
-    blocked_stalls_ = r.u64();
-  }
+  void serialize(snap::Writer& w) const { io(*this, w); }
+  void serialize(snap::Reader& r) { io(*this, r); }
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& ar) {
+    s.gen_.serialize(ar);
+    ar.opt(s.pending_, [&](auto& op) {
+      ar.u64(op.addr);
+      ar.b(op.is_store);
+      ar.u32(op.gap);
+    });
+    ar.u32(s.gap_left_);
+    ar.u32(s.outstanding_);
+    ar.set(s.inflight_ids_);
+    ar.u64(s.next_op_id_);
+    ar.u64(s.ops_);
+    ar.u64(s.loads_);
+    ar.u64(s.stores_);
+    ar.u64(s.stalls_);
+    ar.u64(s.window_stalls_);
+    ar.u64(s.blocked_stalls_);
+  }
+
   NodeId node_;
   cache::L1Cache& l1_;
   workload::TraceGenerator gen_;

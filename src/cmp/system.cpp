@@ -582,44 +582,57 @@ std::uint64_t CmpSystem::total_stall_cycles() const {
 // ---------------------------------------------------------------------------
 // Checkpoint/restore
 
+template <class Self, class Ar, class Tab, class AtTable>
+void CmpSystem::io(Self& s, Ar& ar, Tab& t, std::uint64_t digest,
+                   std::uint64_t& measured_done, AtTable&& at_table) {
+  ar.count(digest,
+           "snapshot: cell digest mismatch (snapshot belongs to a different "
+           "cell or parameters)");
+  ar.u64(measured_done);
+  ar.u64(s.cycle_);
+  ar.index(s.next_hard_fault_, s.hard_schedule_.size() + 1,
+           "snapshot: hard-fault cursor out of range");
+  ar.u64(s.hard_faults_applied_);
+  ar.b(s.any_node_dead_);
+  ar.u64(s.last_progress_sig_);
+  ar.u64(s.activity_sig_at_progress_);
+  ar.u64(s.last_progress_cycle_);
+
+  at_table();
+
+  s.noc_stats_.serialize(ar);
+  s.cache_stats_.serialize(ar);
+  if (ar.present(s.injector_ != nullptr,
+                 "snapshot: fault-injector presence mismatch"))
+    s.injector_->serialize(ar);
+  if (ar.present(s.tracer_ != nullptr, "snapshot: tracer presence mismatch"))
+    s.tracer_->serialize(ar);
+  if (ar.present(s.checker_ != nullptr,
+                 "snapshot: invariant-checker presence mismatch"))
+    s.checker_->serialize(ar);
+  s.network_->serialize(ar, t);
+  for (const auto& l1 : s.l1s_) l1->serialize(ar, t);
+  for (const auto& l2 : s.l2s_) l2->serialize(ar, t);
+  for (const auto& m : s.mems_) m->serialize(ar, t);
+  for (const auto& c : s.cores_) c->serialize(ar);
+}
+
 void CmpSystem::save_snapshot(const std::string& path,
                               std::uint64_t measured_done,
                               std::uint64_t digest) const {
-  snap::Writer meta;
-  meta.u64(digest);
-  meta.u64(measured_done);
-  meta.u64(cycle_);
-  meta.u64(next_hard_fault_);
-  meta.u64(hard_faults_applied_);
-  meta.b(any_node_dead_);
-  meta.u64(last_progress_sig_);
-  meta.u64(activity_sig_at_progress_);
-  meta.u64(last_progress_cycle_);
-
-  // Component bodies intern packets into the table as they serialize; the
-  // table itself (closed under nack_ref) is written between the metadata
-  // and the bodies, so restore can materialize every packet first and then
-  // resolve the bodies' references in a single pass.
+  // Component bodies intern packets into the table as they serialize, so
+  // the table (closed under nack_ref) is spliced in after the fact, between
+  // the metadata and the bodies: restore can then materialize every packet
+  // first and resolve the bodies' references in a single pass.
   noc::PacketTable table;
-  snap::Writer body;
-  noc::save_noc_stats(body, noc_stats_);
-  cache_stats_.save_state(body);
-  body.b(injector_ != nullptr);
-  if (injector_ != nullptr) injector_->save_state(body);
-  body.b(tracer_ != nullptr);
-  if (tracer_ != nullptr) tracer_->save_state(body);
-  body.b(checker_ != nullptr);
-  if (checker_ != nullptr) checker_->save_state(body);
-  network_->save_state(body, table);
-  for (const auto& l1 : l1s_) l1->save_state(body, table);
-  for (const auto& l2 : l2s_) l2->save_state(body, table);
-  for (const auto& m : mems_) m->save_state(body, table);
-  for (const auto& c : cores_) c->save_state(body);
-
+  snap::Writer w;
+  std::size_t meta_end = 0;
+  io(*this, w, table, digest, measured_done, [&] { meta_end = w.size(); });
+  const std::span<const std::uint8_t> all(w.data());
   snap::Writer payload;
-  payload.append(meta);
+  payload.raw(all.first(meta_end));
   table.save_table(payload);
-  payload.append(body);
+  payload.raw(all.subspan(meta_end));
   snap::write_snapshot_file(path, payload.data());
 }
 
@@ -627,41 +640,9 @@ std::uint64_t CmpSystem::restore_snapshot(const std::string& path,
                                           std::uint64_t digest) {
   const std::vector<std::uint8_t> payload = snap::read_snapshot_file(path);
   snap::Reader r{std::span<const std::uint8_t>(payload)};
-
-  if (r.u64() != digest)
-    throw snap::SnapshotError("snapshot: cell digest mismatch (snapshot "
-                              "belongs to a different cell or parameters)");
-  const std::uint64_t measured_done = r.u64();
-  cycle_ = r.u64();
-  next_hard_fault_ = r.u64();
-  if (next_hard_fault_ > hard_schedule_.size())
-    throw snap::SnapshotError("snapshot: hard-fault cursor out of range");
-  hard_faults_applied_ = r.u64();
-  any_node_dead_ = r.b();
-  last_progress_sig_ = r.u64();
-  activity_sig_at_progress_ = r.u64();
-  last_progress_cycle_ = r.u64();
-
   noc::PacketTable table;
-  table.load_table(r);
-
-  noc::load_noc_stats(r, noc_stats_);
-  cache_stats_.restore_state(r);
-  if (r.b() != (injector_ != nullptr))
-    throw snap::SnapshotError("snapshot: fault-injector presence mismatch");
-  if (injector_ != nullptr) injector_->restore_state(r);
-  if (r.b() != (tracer_ != nullptr))
-    throw snap::SnapshotError("snapshot: tracer presence mismatch");
-  if (tracer_ != nullptr) tracer_->restore_state(r);
-  if (r.b() != (checker_ != nullptr))
-    throw snap::SnapshotError("snapshot: invariant-checker presence mismatch");
-  if (checker_ != nullptr) checker_->restore_state(r);
-  network_->restore_state(r, table);
-  for (const auto& l1 : l1s_) l1->restore_state(r, table);
-  for (const auto& l2 : l2s_) l2->restore_state(r, table);
-  for (const auto& m : mems_) m->restore_state(r, table);
-  for (const auto& c : cores_) c->restore_state(r);
-
+  std::uint64_t measured_done = 0;
+  io(*this, r, table, digest, measured_done, [&] { table.load_table(r); });
   r.expect_end();
   return measured_done;
 }

@@ -139,8 +139,9 @@ class CmpSystem {
                      std::uint64_t digest) const;
   /// Restore from `path`, validating the envelope checksum/version and the
   /// cell `digest`. Returns the saved `measured_done`. Throws
-  /// snap::SnapshotError on any mismatch or corruption (callers fall back
-  /// to a from-zero run). Must be called on a freshly constructed system
+  /// snap::SnapshotError on any mismatch or corruption; the system may then
+  /// be partly overwritten, so callers fall back to a from-zero run on a new
+  /// one. Must be called on a freshly constructed system
   /// (same config and profile), before any warmup or timing simulation.
   std::uint64_t restore_snapshot(const std::string& path, std::uint64_t digest);
 
@@ -153,6 +154,12 @@ class CmpSystem {
   ~CmpSystem();
 
  private:
+  /// The whole snapshot payload, run by both archives: cell metadata, then
+  /// (where `at_table` runs) the packet table, then every component body.
+  template <class Self, class Ar, class Tab, class AtTable>
+  static void io(Self& s, Ar& ar, Tab& t, std::uint64_t digest,
+                 std::uint64_t& measured_done, AtTable&& at_table);
+
   void tick();
   void check_cancel() const;
   void check_progress();

@@ -58,6 +58,14 @@ void Reader::raw(std::span<std::uint8_t> out) {
   std::memcpy(out.data(), s.data(), s.size());
 }
 
+void Reader::fail(const char* what) { throw SnapshotError(what); }
+
+std::uint64_t Reader::length() {
+  const std::uint64_t n = u64();
+  if (n > remaining()) fail("snapshot: element count past end of payload");
+  return n;
+}
+
 void Reader::expect_end() const {
   if (pos_ != data_.size()) fail("snapshot: trailing bytes after payload");
 }
@@ -69,10 +77,10 @@ std::span<const std::uint8_t> Reader::take(std::size_t n) {
   return s;
 }
 
-std::uint64_t Reader::le(int n) {
-  const auto s = take(static_cast<std::size_t>(n));
+std::uint64_t Reader::le(std::size_t n) {
+  const auto s = take(n);
   std::uint64_t v = 0;
-  for (int i = n - 1; i >= 0; --i) v = (v << 8) | s[static_cast<std::size_t>(i)];
+  for (std::size_t i = n; i > 0; --i) v = (v << 8) | s[i - 1];
   return v;
 }
 

@@ -1,9 +1,26 @@
-// Versioned, checksummed binary snapshot primitives for full-system
+// Versioned, checksummed binary snapshot archives for full-system
 // checkpoint/restore. The byte-level idiom matches src/sim/wire.{h,cpp}:
 // every value is serialized as a lossless bit pattern (doubles travel as
 // their IEEE-754 bit images, never as decimal text), so save -> restore ->
 // save reproduces identical bytes and a resumed simulation replays
 // bit-exactly.
+//
+// One field list per component. Writer (saving) and Reader (loading) are
+// two archives with the same calls: `ar.u16(p.src)` writes the field on
+// save and assigns it on load, at the same width. Each stateful component
+// has a single body run by both archives, so save and restore cannot drift
+// apart:
+//
+//   void serialize(snap::Writer& w) const { io(*this, w); }
+//   void serialize(snap::Reader& r) { io(*this, r); }
+//   template <class Self, class Ar>  // Self is const when saving
+//   static void io(Self& s, Ar& ar) { ar.u64(s.count_); ar.f64(s.sum_); }
+//
+// Beyond the fixed-width primitives both archives share a few shapes:
+// geometry-checked counts, range-checked enums and indices, sequences,
+// sorted-key maps and sets, and optionals. Work that only happens on load
+// (rebuilding derived indexes, re-wiring) follows the body as a load-only
+// tail, under `if constexpr (Ar::kLoading)` or in the Reader entry point.
 //
 // File envelope (little-endian):
 //   magic   "DSNP"  (4 bytes)
@@ -16,13 +33,19 @@
 // over <path>, so a crash or SIGINT mid-write leaves only the previous good
 // snapshot visible. Every malformed input (truncated file, bit flip, bad
 // magic/version/length) is reported as a structured SnapshotError — never
-// undefined behaviour.
+// undefined behaviour. The CRC detects corruption but does not authenticate
+// a file, so the Reader also rejects counts past the end of the payload and
+// every enum or index a restored component would later dereference.
 #pragma once
 
+#include <algorithm>
+#include <concepts>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace disco::snap {
@@ -30,7 +53,9 @@ namespace disco::snap {
 inline constexpr std::uint32_t kSnapshotVersion = 1;
 
 /// Structured snapshot failure: corrupt/truncated/mismatched input or an
-/// I/O error. Callers fall back to a from-zero run on catch.
+/// I/O error. Callers fall back to a from-zero run on catch, on a freshly
+/// constructed system: a load that throws midway leaves the target partly
+/// overwritten.
 class SnapshotError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -39,9 +64,17 @@ class SnapshotError : public std::runtime_error {
 /// IEEE CRC-32 (reflected, poly 0xEDB88320) over raw bytes.
 std::uint32_t crc32(std::span<const std::uint8_t> bytes);
 
-/// Append-only byte sink with fixed-width little-endian primitives.
+/// `T` as archive `Ar` sees it: const while saving, mutable while loading.
+/// Lets one free function template serve both archives for a value type.
+template <class Ar, class T>
+using Ref = std::conditional_t<Ar::kLoading, T, const T>&;
+
+/// Saving archive: an append-only byte sink with fixed-width little-endian
+/// primitives. Every call has a Reader twin with the same arguments.
 class Writer {
  public:
+  static constexpr bool kLoading = false;
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v) { le(v, 2); }
   void u32(std::uint32_t v) { le(v, 4); }
@@ -53,7 +86,7 @@ class Writer {
   /// Length-prefixed raw bytes.
   void bytes(std::span<const std::uint8_t> v) {
     u64(v.size());
-    buf_.insert(buf_.end(), v.begin(), v.end());
+    raw(v);
   }
   void str(const std::string& s) {
     bytes(std::span<const std::uint8_t>(
@@ -63,25 +96,98 @@ class Writer {
   void raw(std::span<const std::uint8_t> v) {
     buf_.insert(buf_.end(), v.begin(), v.end());
   }
-  void append(const Writer& other) {
-    buf_.insert(buf_.end(), other.buf_.begin(), other.buf_.end());
+  void append(const Writer& other) { raw(other.buf_); }
+
+  // --- shapes shared with Reader ---
+  /// A value the loading side already knows (a geometry count, a digest),
+  /// stored at its own width; the loader rejects any other value.
+  template <std::integral T>
+  void count(T n, const char* /*what*/) {
+    le(static_cast<std::uint64_t>(n), sizeof(T));
+  }
+  /// Presence flag of an optional component; returns `has`.
+  bool present(bool has, const char* /*what*/) {
+    b(has);
+    return has;
+  }
+  /// Enum stored as a u8; `last` is its highest enumerator.
+  template <class E>
+  void en(E e, E /*last*/) {
+    u8(static_cast<std::uint8_t>(e));
+  }
+  /// Index stored at its own width; the loader rejects v >= bound.
+  template <std::integral T>
+  void index(T v, std::uint64_t /*bound*/, const char* /*what*/) {
+    le(static_cast<std::uint64_t>(v), sizeof(T));
+  }
+  /// Element count, then each element through `f`.
+  template <class C, class F>
+  void seq(const C& c, F&& f) {
+    u64(c.size());
+    for (const auto& e : c) f(e);
+  }
+  /// Fixed-length flag vector, no count.
+  void flags(const std::vector<bool>& v) {
+    for (const bool f : v) b(f);
+  }
+  /// Unordered map in sorted key order: count, then u64 key + value each,
+  /// so a save -> restore -> save round trip is byte-identical.
+  template <class M, class F>
+  void map(const M& m, F&& f) {
+    const auto keys = sorted_keys(m);
+    u64(keys.size());
+    for (const auto& k : keys) {
+      u64(k);
+      f(m.at(k));
+    }
+  }
+  /// Unordered set in sorted order: count, then the u64 keys.
+  template <class S>
+  void set(const S& s) {
+    const auto keys = sorted_keys(s);
+    u64(keys.size());
+    for (const auto& k : keys) u64(k);
+  }
+  /// Presence bool, then the value through `f` if present.
+  template <class T, class F>
+  void opt(const std::optional<T>& o, F&& f) {
+    b(o.has_value());
+    if (o.has_value()) f(*o);
   }
 
   const std::vector<std::uint8_t>& data() const { return buf_; }
   std::size_t size() const { return buf_.size(); }
 
  private:
-  void le(std::uint64_t v, int n) {
-    for (int i = 0; i < n; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  void le(std::uint64_t v, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i)
+      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  template <class C>
+  static auto sorted_keys(const C& c) {
+    std::vector<typename C::key_type> keys;
+    keys.reserve(c.size());
+    for (const auto& e : c) {
+      if constexpr (requires { e.first; }) {
+        keys.push_back(e.first);
+      } else {
+        keys.push_back(e);
+      }
+    }
+    std::sort(keys.begin(), keys.end());
+    return keys;
   }
   std::vector<std::uint8_t> buf_;
 };
 
-/// Bounds-checked reader over a snapshot payload. Every read that would run
-/// past the end throws SnapshotError, so truncated or bit-flipped payloads
-/// can never index out of bounds.
+/// Loading archive: a bounds-checked reader over a snapshot payload. Every
+/// read that would run past the end throws SnapshotError, and so does every
+/// value a loaded component would later use as an index, so truncated or
+/// bit-flipped payloads can never index out of bounds.
 class Reader {
  public:
+  static constexpr bool kLoading = true;
+
   explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
 
   std::uint8_t u8() { return take(1)[0]; }
@@ -96,13 +202,83 @@ class Reader {
   /// Fixed-size raw bytes into `out`.
   void raw(std::span<std::uint8_t> out);
 
+  // --- the Writer's calls: read into the field passed by reference ---
+  template <std::integral T>
+  void u8(T& v) { v = static_cast<T>(u8()); }
+  template <std::integral T>
+  void u16(T& v) { v = static_cast<T>(u16()); }
+  template <std::integral T>
+  void u32(T& v) { v = static_cast<T>(u32()); }
+  template <std::integral T>
+  void u64(T& v) { v = static_cast<T>(u64()); }
+  template <std::integral T>
+  void i64(T& v) { v = static_cast<T>(i64()); }
+  template <std::integral T>
+  void b(T& v) { v = b(); }
+  void f64(double& v) { v = f64(); }
+  void bytes(std::vector<std::uint8_t>& v) { v = bytes(); }
+  void str(std::string& s) { s = str(); }
+
+  template <std::integral T>
+  void count(T n, const char* what) {
+    if (le(sizeof(T)) != static_cast<std::uint64_t>(n)) fail(what);
+  }
+  bool present(bool has, const char* what) {
+    if (b() != has) fail(what);
+    return has;
+  }
+  template <class E>
+  void en(E& e, E last) {
+    const std::uint8_t v = u8();
+    if (v > static_cast<std::uint8_t>(last)) fail("snapshot: enum value out of range");
+    e = static_cast<E>(v);
+  }
+  template <std::integral T>
+  void index(T& v, std::uint64_t bound, const char* what) {
+    const std::uint64_t x = le(sizeof(T));
+    if (x >= bound) fail(what);
+    v = static_cast<T>(x);
+  }
+  template <class C, class F>
+  void seq(C& c, F&& f) {
+    c.clear();
+    for (std::uint64_t n = length(); n > 0; --n) {
+      c.push_back(typename C::value_type{});
+      f(c.back());
+    }
+  }
+  void flags(std::vector<bool>& v) {
+    for (auto&& f : v) f = b();
+  }
+  template <class M, class F>
+  void map(M& m, F&& f) {
+    m.clear();
+    for (std::uint64_t n = length(); n > 0; --n)
+      f(m[static_cast<typename M::key_type>(u64())]);
+  }
+  template <class S>
+  void set(S& s) {
+    s.clear();
+    for (std::uint64_t n = length(); n > 0; --n)
+      s.insert(static_cast<typename S::key_type>(u64()));
+  }
+  template <class T, class F>
+  void opt(std::optional<T>& o, F&& f) {
+    o.reset();
+    if (b()) f(o.emplace());
+  }
+
   std::size_t remaining() const { return data_.size() - pos_; }
   /// Assert the payload was consumed exactly (trailing garbage => corrupt).
   void expect_end() const;
 
  private:
+  [[noreturn]] static void fail(const char* what);
+  /// An element count; every element takes at least one byte, so a count
+  /// past the end of the payload is corrupt before any element is read.
+  std::uint64_t length();
   std::span<const std::uint8_t> take(std::size_t n);
-  std::uint64_t le(int n);
+  std::uint64_t le(std::size_t n);
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
 };

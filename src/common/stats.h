@@ -29,20 +29,18 @@ class Accumulator {
   double max() const { return count_ ? max_ : 0.0; }
   void reset() { *this = Accumulator{}; }
 
-  void save_state(snap::Writer& w) const {
-    w.u64(count_);
-    w.f64(sum_);
-    w.f64(min_);
-    w.f64(max_);
-  }
-  void restore_state(snap::Reader& r) {
-    count_ = r.u64();
-    sum_ = r.f64();
-    min_ = r.f64();
-    max_ = r.f64();
-  }
+  void serialize(snap::Writer& w) const { io(*this, w); }
+  void serialize(snap::Reader& r) { io(*this, r); }
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& ar) {
+    ar.u64(s.count_);
+    ar.f64(s.sum_);
+    ar.f64(s.min_);
+    ar.f64(s.max_);
+  }
+
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;
@@ -70,16 +68,16 @@ class Histogram {
   /// histogram reports that sample's bucket for every q.
   std::uint64_t approx_quantile(double q) const;
 
-  void save_state(snap::Writer& w) const {
-    for (const std::uint64_t b : buckets_) w.u64(b);
-    acc_.save_state(w);
-  }
-  void restore_state(snap::Reader& r) {
-    for (std::uint64_t& b : buckets_) b = r.u64();
-    acc_.restore_state(r);
-  }
+  void serialize(snap::Writer& w) const { io(*this, w); }
+  void serialize(snap::Reader& r) { io(*this, r); }
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& ar) {
+    for (auto& b : s.buckets_) ar.u64(b);
+    s.acc_.serialize(ar);
+  }
+
   static constexpr std::size_t kBuckets = 24;
   std::uint64_t buckets_[kBuckets]{};
   Accumulator acc_;

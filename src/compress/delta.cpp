@@ -7,13 +7,13 @@ namespace {
 
 constexpr std::uint8_t kZeroTag = 0xFE;
 
-std::uint64_t load_flit(const BlockBytes& b, std::size_t i) {
+std::uint64_t read_flit(const BlockBytes& b, std::size_t i) {
   std::uint64_t v;
   std::memcpy(&v, b.data() + i * kFlitBytes, sizeof(v));
   return v;
 }
 
-void store_flit(BlockBytes& b, std::size_t i, std::uint64_t v) {
+void write_flit(BlockBytes& b, std::size_t i, std::uint64_t v) {
   std::memcpy(b.data() + i * kFlitBytes, &v, sizeof(v));
 }
 
@@ -30,7 +30,7 @@ Encoded DeltaAlgorithm::compress(const BlockBytes& block) const {
   std::uint64_t flits[kWordsPerBlock];
   bool all_zero = true;
   for (std::size_t i = 0; i < kWordsPerBlock; ++i) {
-    flits[i] = load_flit(block, i);
+    flits[i] = read_flit(block, i);
     all_zero = all_zero && flits[i] == 0;
   }
   if (all_zero) return Encoded{{kZeroTag}};
@@ -89,7 +89,7 @@ BlockBytes DeltaAlgorithm::decompress(std::span<const std::uint8_t> enc) const {
     base |= static_cast<std::uint64_t>(enc[2 + b]) << (8 * b);
 
   BlockBytes out{};
-  store_flit(out, 0, base);
+  write_flit(out, 0, base);
   std::size_t pos = 10;
   for (std::size_t i = 1; i < kWordsPerBlock; ++i) {
     std::uint64_t ud = 0;
@@ -100,7 +100,7 @@ BlockBytes DeltaAlgorithm::decompress(std::span<const std::uint8_t> enc) const {
     const unsigned shift = 64 - 8 * ds;
     const auto d = static_cast<std::int64_t>(ud << shift) >> shift;
     const std::uint64_t chosen_base = (mask >> (i - 1)) & 1U ? 0ULL : base;
-    store_flit(out, i, chosen_base + static_cast<std::uint64_t>(d));
+    write_flit(out, i, chosen_base + static_cast<std::uint64_t>(d));
   }
   return out;
 }

@@ -351,51 +351,36 @@ void DiscoUnit::release(Engine& eng, Cycle now) {
   eng.quarantined = quarantined;
 }
 
-void DiscoUnit::save_state(snap::Writer& w, noc::PacketTable& t) const {
-  w.u64(engines_.size());
-  for (const Engine& e : engines_) {
-    w.b(e.busy);
-    w.b(e.decompress);
-    w.b(e.awaiting_residency);
-    w.u8(static_cast<std::uint8_t>(e.vc.port));
-    w.u8(e.vc.vc);
-    t.save_ref(w, e.pkt);
-    w.u64(e.done_at);
-    w.u32(e.old_flit_count);
-    noc::save_encoded(w, e.result);
-    w.u32(e.errors);
-    w.b(e.quarantined);
+template <class Self, class Ar, class Tab>
+void DiscoUnit::io(Self& s, Ar& ar, Tab& t) {
+  const std::uint32_t vcs = s.router_.config().num_vcs();
+  ar.count(s.engines_.size(), "snapshot: DISCO engine-count mismatch");
+  for (auto& e : s.engines_) {
+    ar.b(e.busy);
+    ar.b(e.decompress);
+    ar.b(e.awaiting_residency);
+    ar.en(e.vc.port, noc::Port::Local);
+    ar.index(e.vc.vc, vcs, "snapshot: DISCO engine VC out of range");
+    t.ref(ar, e.pkt);
+    ar.u64(e.done_at);
+    ar.u32(e.old_flit_count);
+    noc::serialize(ar, e.result);
+    ar.u32(e.errors);
+    ar.b(e.quarantined);
   }
-  w.f64(cc_th_);
-  w.f64(cd_th_);
-  w.u64(window_aborts_);
-  w.u64(window_completions_);
-  w.u64(window_rejections_);
-  w.u64(next_adapt_);
+  ar.f64(s.cc_th_);
+  ar.f64(s.cd_th_);
+  ar.u64(s.window_aborts_);
+  ar.u64(s.window_completions_);
+  ar.u64(s.window_rejections_);
+  ar.u64(s.next_adapt_);
 }
 
+void DiscoUnit::save_state(snap::Writer& w, noc::PacketTable& t) const {
+  io(*this, w, t);
+}
 void DiscoUnit::restore_state(snap::Reader& r, const noc::PacketTable& t) {
-  if (r.u64() != engines_.size())
-    throw snap::SnapshotError("snapshot: DISCO engine-count mismatch");
-  for (Engine& e : engines_) {
-    e.busy = r.b();
-    e.decompress = r.b();
-    e.awaiting_residency = r.b();
-    e.vc.port = static_cast<noc::Port>(r.u8());
-    e.vc.vc = r.u8();
-    e.pkt = t.load_ref(r);
-    e.done_at = r.u64();
-    e.old_flit_count = r.u32();
-    e.result = noc::load_encoded(r);
-    e.errors = r.u32();
-    e.quarantined = r.b();
-  }
-  cc_th_ = r.f64();
-  cd_th_ = r.f64();
-  window_aborts_ = r.u64();
-  window_completions_ = r.u64();
-  window_rejections_ = r.u64();
-  next_adapt_ = r.u64();
+  io(*this, r, t);
 }
 
 }  // namespace disco::core

@@ -62,6 +62,9 @@ class DiscoUnit final : public noc::RouterExtension {
   double cd_threshold() const { return cd_th_; }
 
  private:
+  template <class Self, class Ar, class Tab>
+  static void io(Self& s, Ar& ar, Tab& t);
+
   struct Engine {
     bool busy = false;
     bool decompress = false;

@@ -126,28 +126,23 @@ class FaultInjector {
 
   /// Checkpoint/restore: the RNG stream position and the fault counters are
   /// the whole mutable state.
-  void save_state(snap::Writer& w) const {
-    for (const std::uint64_t s : rng_.state()) w.u64(s);
-    w.u64(counters_.link_bit_flips);
-    w.u64(counters_.llc_bit_flips);
-    w.u64(counters_.flit_drops);
-    w.u64(counters_.flit_duplicates);
-    w.u64(counters_.engine_stalls);
-    w.u64(counters_.engine_faults);
-  }
-  void restore_state(snap::Reader& r) {
-    std::array<std::uint64_t, 4> s{};
-    for (std::uint64_t& v : s) v = r.u64();
-    rng_.set_state(s);
-    counters_.link_bit_flips = r.u64();
-    counters_.llc_bit_flips = r.u64();
-    counters_.flit_drops = r.u64();
-    counters_.flit_duplicates = r.u64();
-    counters_.engine_stalls = r.u64();
-    counters_.engine_faults = r.u64();
-  }
+  void serialize(snap::Writer& w) const { io(*this, w); }
+  void serialize(snap::Reader& r) { io(*this, r); }
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& ar) {
+    auto rng = s.rng_.state();
+    for (std::uint64_t& v : rng) ar.u64(v);
+    if constexpr (Ar::kLoading) s.rng_.set_state(rng);
+    ar.u64(s.counters_.link_bit_flips);
+    ar.u64(s.counters_.llc_bit_flips);
+    ar.u64(s.counters_.flit_drops);
+    ar.u64(s.counters_.flit_duplicates);
+    ar.u64(s.counters_.engine_stalls);
+    ar.u64(s.counters_.engine_faults);
+  }
+
   void flip_random_bit(std::vector<std::uint8_t>& bytes) {
     const std::uint64_t bit = rng_.next_below(bytes.size() * 8);
     bytes[bit / 8] ^= static_cast<std::uint8_t>(1U << (bit % 8));

@@ -57,16 +57,15 @@ class PipelinedChannel {
   /// checks: a sleeping consumer must have nothing ready).
   Cycle front_ready() const { return queue_.empty() ? 0 : queue_.front().ready; }
 
-  /// Checkpoint support: visit every in-flight entry with its absolute
-  /// ready cycle, oldest first.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const Entry& e : queue_) fn(e.ready, e.item);
-  }
-  /// Checkpoint support: re-enqueue an entry with its saved ready cycle
-  /// (push() would re-add the +1 pipeline delay).
-  void restore_push(Cycle ready, T item) {
-    queue_.push_back({ready, std::move(item)});
+  /// Checkpoint/restore through a snapshot archive: every in-flight entry,
+  /// oldest first, with its absolute ready cycle (a restore must not re-add
+  /// push()'s +1 pipeline delay); `item` serializes one payload.
+  template <class Self, class Ar, class Fn>
+  static void io(Self& s, Ar& ar, Fn&& item) {
+    ar.seq(s.queue_, [&](auto& e) {
+      ar.u64(e.ready);
+      item(e.item);
+    });
   }
 
  private:
@@ -95,14 +94,12 @@ class FlitLink {
   void set_wake(std::uint8_t* flag) { chan_.set_wake(flag); }
   Cycle front_ready() const { return chan_.front_ready(); }
 
-  /// Checkpoint support (see PipelinedChannel::for_each/restore_push).
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    chan_.for_each(fn);
+  /// Checkpoint/restore (see PipelinedChannel::io).
+  template <class Self, class Ar, class Fn>
+  static void io(Self& s, Ar& ar, Fn&& item) {
+    PipelinedChannel<Flit>::io(s.chan_, ar, item);
+    ar.u64(s.last_push_);
   }
-  void restore_push(Cycle ready, Flit f) { chan_.restore_push(ready, std::move(f)); }
-  Cycle last_push() const { return last_push_; }
-  void set_last_push(Cycle c) { last_push_ = c; }
 
  private:
   PipelinedChannel<Flit> chan_;

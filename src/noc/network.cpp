@@ -385,56 +385,42 @@ void Network::finish_topology_kill(std::vector<PacketPtr> severed, Cycle now,
 
 // --- checkpoint/restore -----------------------------------------------------
 
-void Network::save_state(snap::Writer& w, PacketTable& t) const {
-  topo_.save_state(w);
-  w.b(degraded_);
-  w.u64(node_dead_.size());
-  for (const bool d : node_dead_) w.b(d);
+template <class Self, class Ar, class Tab>
+void Network::io(Self& s, Ar& ar, Tab& t) {
+  s.topo_.serialize(ar);
+  ar.b(s.degraded_);
+  ar.count(s.node_dead_.size(), "snapshot: network geometry mismatch");
+  ar.flags(s.node_dead_);
+  ar.set(s.condemned_);
+  ar.set(s.resolved_);
 
-  const auto save_id_set = [&](const std::unordered_set<PacketId>& s) {
-    std::vector<PacketId> ids(s.begin(), s.end());
-    std::sort(ids.begin(), ids.end());
-    w.u64(ids.size());
-    for (const PacketId id : ids) w.u64(id);
-  };
-  save_id_set(condemned_);
-  save_id_set(resolved_);
+  for (const auto& r : s.routers_) r->serialize(ar, t);
+  for (const auto& ni : s.nis_) ni->serialize(ar, t);
+  for (const auto& ext : s.extensions_) {
+    if constexpr (Ar::kLoading)
+      ext->restore_state(ar, t);
+    else
+      ext->save_state(ar, t);
+  }
 
-  for (const auto& r : routers_) r->save_state(w, t);
-  for (const auto& ni : nis_) ni->save_state(w, t);
-  for (const auto& ext : extensions_) ext->save_state(w, t);
-
-  w.u64(flit_links_.size());
-  for (const auto& l : flit_links_) save_flit_link(w, t, *l);
-  w.u64(credit_links_.size());
-  for (const auto& l : credit_links_) save_credit_link(w, *l);
+  const std::uint32_t vcs = s.cfg_.num_vcs();
+  ar.count(s.flit_links_.size(), "snapshot: network link-count mismatch");
+  for (const auto& l : s.flit_links_)
+    FlitLink::io(*l, ar, [&](auto& f) { noc::serialize(ar, t, f, vcs); });
+  ar.count(s.credit_links_.size(), "snapshot: network link-count mismatch");
+  for (const auto& l : s.credit_links_) {
+    CreditLink::io(*l, ar, [&](auto& c) {
+      ar.index(c.vc, vcs, "snapshot: credit VC out of range");
+    });
+  }
 }
 
-void Network::restore_state(snap::Reader& r, const PacketTable& t) {
-  topo_.restore_state(r);
-  degraded_ = r.b();
-  if (r.u64() != node_dead_.size())
-    throw snap::SnapshotError("snapshot: network geometry mismatch");
-  for (std::size_t i = 0; i < node_dead_.size(); ++i) node_dead_[i] = r.b();
+void Network::serialize(snap::Writer& w, PacketTable& t) const {
+  io(*this, w, t);
+}
 
-  const auto load_id_set = [&](std::unordered_set<PacketId>& s) {
-    s.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) s.insert(r.u64());
-  };
-  load_id_set(condemned_);
-  load_id_set(resolved_);
-
-  for (const auto& rt : routers_) rt->restore_state(r, t);
-  for (const auto& ni : nis_) ni->restore_state(r, t);
-  for (const auto& ext : extensions_) ext->restore_state(r, t);
-
-  if (r.u64() != flit_links_.size())
-    throw snap::SnapshotError("snapshot: network link-count mismatch");
-  for (const auto& l : flit_links_) load_flit_link(r, t, *l);
-  if (r.u64() != credit_links_.size())
-    throw snap::SnapshotError("snapshot: network link-count mismatch");
-  for (const auto& l : credit_links_) load_credit_link(r, *l);
+void Network::serialize(snap::Reader& r, const PacketTable& t) {
+  io(*this, r, t);
 
   // Re-apply the structural wiring effects of every kill recorded in the
   // restored topology: this process was constructed fully connected, but

@@ -118,10 +118,13 @@ class Network {
   /// bookkeeping. Restore re-applies the structural disconnections implied
   /// by the restored topology (dead routers/links have their wires severed
   /// exactly as the kill path left them).
-  void save_state(snap::Writer& w, PacketTable& t) const;
-  void restore_state(snap::Reader& r, const PacketTable& t);
+  void serialize(snap::Writer& w, PacketTable& t) const;
+  void serialize(snap::Reader& r, const PacketTable& t);
 
  private:
+  template <class Self, class Ar, class Tab>
+  static void io(Self& s, Ar& ar, Tab& t);
+
   void note_doomed(const PacketPtr& pkt, Cycle now);
   void enter_degraded();
   bool doomed_from(NodeId at, const Packet& p) const;

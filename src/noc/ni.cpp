@@ -634,144 +634,56 @@ void NetworkInterface::collect_dead_orphans(std::vector<PacketPtr>& out) {
   std::fill(vc_taken_.begin(), vc_taken_.end(), false);
 }
 
-void NetworkInterface::save_state(snap::Writer& w, PacketTable& t) const {
-  for (const auto& q : inject_q_) {
-    w.u64(q.size());
-    for (const PendingInject& e : q) {
-      t.save_ref(w, e.pkt);
-      w.u64(e.ready_at);
-      w.u64(e.queued_at);
-    }
+template <class Self, class Ar, class Tab>
+void NetworkInterface::io(Self& s, Ar& ar, Tab& t) {
+  for (auto& q : s.inject_q_) {
+    ar.seq(q, [&](auto& e) {
+      t.ref(ar, e.pkt);
+      ar.u64(e.ready_at);
+      ar.u64(e.queued_at);
+    });
   }
-  for (const auto& a : active_) {
-    w.b(a.has_value());
-    if (a.has_value()) {
-      t.save_ref(w, a->pkt);
-      w.u8(a->vc);
-      w.u32(a->next_seq);
-    }
+  const std::size_t vcs = s.vc_credits_.size();
+  for (auto& a : s.active_) {
+    ar.opt(a, [&](auto& send) {
+      t.ref(ar, send.pkt);
+      ar.index(send.vc, vcs, "snapshot: NI send VC out of range");
+      ar.u32(send.next_seq);
+    });
   }
-  w.u64(vc_credits_.size());
-  for (const std::uint32_t c : vc_credits_) w.u32(c);
-  for (const bool taken : vc_taken_) w.b(taken);
-  w.u32(rr_vnet_);
-
-  // Unordered tables serialize in sorted key order so a save -> restore ->
-  // save round trip is byte-identical.
-  std::vector<PacketId> keys;
-  keys.reserve(reassembly_.size());
-  for (const auto& [id, r] : reassembly_) keys.push_back(id);
-  std::sort(keys.begin(), keys.end());
-  w.u64(keys.size());
-  for (const PacketId id : keys) {
-    const Reassembly& r = reassembly_.at(id);
-    w.u64(id);
-    t.save_ref(w, r.pkt);
-    w.u64(r.seen_mask);
-    w.u32(r.have);
-    w.u64(r.first);
-    w.b(r.nacked);
-  }
-
-  w.u64(delivery_.size());
-  for (const PendingDeliver& d : delivery_) {
-    t.save_ref(w, d.pkt);
-    w.u64(d.deliver_at);
-  }
-
-  keys.clear();
-  keys.reserve(parked_.size());
-  for (const auto& [id, p] : parked_) keys.push_back(id);
-  std::sort(keys.begin(), keys.end());
-  w.u64(keys.size());
-  for (const PacketId id : keys) {
-    const Parked& p = parked_.at(id);
-    w.u64(id);
-    t.save_ref(w, p.pkt);
-    w.u32(p.retries);
-    w.u64(p.last_nack);
-  }
-
-  keys.assign(completed_.begin(), completed_.end());
-  std::sort(keys.begin(), keys.end());
-  w.u64(keys.size());
-  for (const PacketId id : keys) w.u64(id);
-
-  w.u32(ctrl_seq_);
-  w.u32(clone_seq_);
-  w.u64(proto_seq_);
-  w.b(degraded_);
-  w.b(bypass_);
+  ar.count(vcs, "snapshot: NI VC geometry mismatch");
+  for (auto& c : s.vc_credits_) ar.u32(c);
+  ar.flags(s.vc_taken_);
+  ar.u32(s.rr_vnet_);
+  ar.map(s.reassembly_, [&](auto& re) {
+    t.ref(ar, re.pkt);
+    ar.u64(re.seen_mask);
+    ar.u32(re.have);
+    ar.u64(re.first);
+    ar.b(re.nacked);
+  });
+  ar.seq(s.delivery_, [&](auto& d) {
+    t.ref(ar, d.pkt);
+    ar.u64(d.deliver_at);
+  });
+  ar.map(s.parked_, [&](auto& p) {
+    t.ref(ar, p.pkt);
+    ar.u32(p.retries);
+    ar.u64(p.last_nack);
+  });
+  ar.set(s.completed_);
+  ar.u32(s.ctrl_seq_);
+  ar.u32(s.clone_seq_);
+  ar.u64(s.proto_seq_);
+  ar.b(s.degraded_);
+  ar.b(s.bypass_);
 }
 
-void NetworkInterface::restore_state(snap::Reader& r, const PacketTable& t) {
-  for (auto& q : inject_q_) {
-    q.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      PendingInject e;
-      e.pkt = t.load_ref(r);
-      e.ready_at = r.u64();
-      e.queued_at = r.u64();
-      q.push_back(std::move(e));
-    }
-  }
-  for (auto& a : active_) {
-    a.reset();
-    if (r.b()) {
-      ActiveSend s;
-      s.pkt = t.load_ref(r);
-      s.vc = r.u8();
-      s.next_seq = r.u32();
-      a = std::move(s);
-    }
-  }
-  if (r.u64() != vc_credits_.size())
-    throw snap::SnapshotError("snapshot: NI VC geometry mismatch");
-  for (std::uint32_t& c : vc_credits_) c = r.u32();
-  for (std::size_t i = 0; i < vc_taken_.size(); ++i) vc_taken_[i] = r.b();
-  rr_vnet_ = r.u32();
-
-  reassembly_.clear();
-  const std::uint64_t n_reasm = r.u64();
-  for (std::uint64_t i = 0; i < n_reasm; ++i) {
-    const PacketId id = r.u64();
-    Reassembly& re = reassembly_[id];
-    re.pkt = t.load_ref(r);
-    re.seen_mask = r.u64();
-    re.have = r.u32();
-    re.first = r.u64();
-    re.nacked = r.b();
-  }
-
-  delivery_.clear();
-  const std::uint64_t n_deliv = r.u64();
-  for (std::uint64_t i = 0; i < n_deliv; ++i) {
-    PendingDeliver d;
-    d.pkt = t.load_ref(r);
-    d.deliver_at = r.u64();
-    delivery_.push_back(std::move(d));
-  }
-
-  parked_.clear();
-  const std::uint64_t n_parked = r.u64();
-  for (std::uint64_t i = 0; i < n_parked; ++i) {
-    const PacketId id = r.u64();
-    Parked& p = parked_[id];
-    p.pkt = t.load_ref(r);
-    p.retries = r.u32();
-    p.last_nack = r.u64();
-  }
-
-  completed_.clear();
-  const std::uint64_t n_done = r.u64();
-  for (std::uint64_t i = 0; i < n_done; ++i) completed_.insert(r.u64());
-
-  ctrl_seq_ = r.u32();
-  clone_seq_ = r.u32();
-  proto_seq_ = r.u64();
-  degraded_ = r.b();
-  bypass_ = r.b();
+void NetworkInterface::serialize(snap::Writer& w, PacketTable& t) const {
+  io(*this, w, t);
+}
+void NetworkInterface::serialize(snap::Reader& r, const PacketTable& t) {
+  io(*this, r, t);
 }
 
 }  // namespace disco::noc

@@ -165,10 +165,13 @@ class NetworkInterface {
   /// sends, credits, reassembly/recovery/dedup tables, id counters, mode
   /// flags). Unordered tables serialize in sorted key order so a save ->
   /// restore -> save round trip is byte-identical.
-  void save_state(snap::Writer& w, PacketTable& t) const;
-  void restore_state(snap::Reader& r, const PacketTable& t);
+  void serialize(snap::Writer& w, PacketTable& t) const;
+  void serialize(snap::Reader& r, const PacketTable& t);
 
  private:
+  template <class Self, class Ar, class Tab>
+  static void io(Self& s, Ar& ar, Tab& t);
+
   struct PendingInject {
     PacketPtr pkt;
     Cycle ready_at;

@@ -77,6 +77,36 @@ struct NocStats {
     }
     return n ? sum / static_cast<double>(n) : 0.0;
   }
+
+  void serialize(snap::Writer& w) const { io(*this, w); }
+  void serialize(snap::Reader& r) { io(*this, r); }
+
+ private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& ar) {
+    for (auto* v :
+         {&s.buffer_writes, &s.buffer_reads, &s.crossbar_traversals,
+          &s.link_flits, &s.alloc_ops, &s.credits_sent,
+          &s.inflight_compressions, &s.inflight_decompressions,
+          &s.source_compressions, &s.compression_aborts,
+          &s.decompression_aborts, &s.engine_starts, &s.ni_compressions,
+          &s.ni_decompressions, &s.exposed_decomp_cycles,
+          &s.exposed_comp_cycles, &s.hidden_decomp_ops, &s.crc_checks,
+          &s.corruptions_detected, &s.silent_corruptions,
+          &s.flit_loss_timeouts, &s.nacks_sent, &s.retransmissions,
+          &s.retransmit_deliveries, &s.backoff_cycles,
+          &s.duplicate_flits_dropped, &s.duplicate_retransmissions,
+          &s.unrecovered_deliveries, &s.engine_decode_errors,
+          &s.engines_quarantined, &s.links_killed, &s.routers_killed,
+          &s.engines_hard_failed, &s.banks_killed, &s.unreachable_drops,
+          &s.dead_component_drops, &s.flits_destroyed, &s.severed_packets,
+          &s.reroutes, &s.bypass_retransmits, &s.synth_completions,
+          &s.packets_injected, &s.packets_ejected, &s.flits_injected,
+          &s.sa_idle_losses})
+      ar.u64(*v);
+    for (auto& acc : s.packet_latency) acc.serialize(ar);
+    s.queueing_cycles.serialize(ar);
+  }
 };
 
 }  // namespace disco::noc

@@ -688,30 +688,27 @@ bool Router::credits_quiescent() const {
   return true;
 }
 
-void Router::save_state(snap::Writer& w, PacketTable& t) const {
+template <class Self, class Ar, class Tab>
+void Router::io(Self& s, Ar& ar, Tab& t) {
+  const std::uint32_t vcs = s.num_vcs_;
   for (std::size_t p = 0; p < kNumPorts; ++p) {
-    for (std::uint32_t v = 0; v < num_vcs_; ++v) save_vc(w, t, in_vc(p, v));
-    for (std::uint32_t v = 0; v < num_vcs_; ++v) w.u32(credit(p, v));
-    for (std::uint32_t v = 0; v < num_vcs_; ++v)
-      w.b(out_vc_taken_[p * num_vcs_ + v] != 0);
+    for (std::uint32_t v = 0; v < vcs; ++v)
+      noc::serialize(ar, t, s.in_vc(p, v), vcs);
+    for (std::uint32_t v = 0; v < vcs; ++v) ar.u32(s.credit(p, v));
+    for (std::uint32_t v = 0; v < vcs; ++v) ar.b(s.taken(p, v));
   }
-  for (const std::uint32_t v : va_rr_) w.u32(v);
-  for (const std::uint32_t v : sa_in_rr_) w.u32(v);
-  for (const std::uint32_t v : sa_out_rr_) w.u32(v);
-  w.b(degraded_);
+  for (auto& v : s.va_rr_) ar.u32(v);
+  for (auto& v : s.sa_in_rr_) ar.u32(v);
+  for (auto& v : s.sa_out_rr_) ar.u32(v);
+  ar.b(s.degraded_);
 }
 
-void Router::restore_state(snap::Reader& r, const PacketTable& t) {
-  for (std::size_t p = 0; p < kNumPorts; ++p) {
-    for (std::uint32_t v = 0; v < num_vcs_; ++v) load_vc(r, t, in_vc(p, v));
-    for (std::uint32_t v = 0; v < num_vcs_; ++v) credit(p, v) = r.u32();
-    for (std::uint32_t v = 0; v < num_vcs_; ++v)
-      taken(p, v) = r.b() ? 1 : 0;
-  }
-  for (std::uint32_t& v : va_rr_) v = r.u32();
-  for (std::uint32_t& v : sa_in_rr_) v = r.u32();
-  for (std::uint32_t& v : sa_out_rr_) v = r.u32();
-  degraded_ = r.b();
+void Router::serialize(snap::Writer& w, PacketTable& t) const {
+  io(*this, w, t);
+}
+
+void Router::serialize(snap::Reader& r, const PacketTable& t) {
+  io(*this, r, t);
   // Restored VCs may hold arbitrary state; rebuild the occupancy mask
   // pessimistically and let route_compute clean it up.
   busy_vcs_.fill(vc_mask_);

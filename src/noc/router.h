@@ -183,10 +183,13 @@ class Router {
   /// Checkpoint/restore of all mutable router state (VC buffers, credits,
   /// allocation round-robin pointers, degraded flag). Wires/links are
   /// serialized by the owning Network.
-  void save_state(snap::Writer& w, PacketTable& t) const;
-  void restore_state(snap::Reader& r, const PacketTable& t);
+  void serialize(snap::Writer& w, PacketTable& t) const;
+  void serialize(snap::Reader& r, const PacketTable& t);
 
  private:
+  template <class Self, class Ar, class Tab>
+  static void io(Self& s, Ar& ar, Tab& t);
+
   static constexpr std::size_t idx(Port p) { return static_cast<std::size_t>(p); }
 
   void receive_credits(Cycle now);
@@ -235,6 +238,9 @@ class Router {
     return credits_[p * num_vcs_ + v];
   }
   std::uint8_t& taken(std::size_t p, std::uint32_t v) {
+    return out_vc_taken_[p * num_vcs_ + v];
+  }
+  const std::uint8_t& taken(std::size_t p, std::uint32_t v) const {
     return out_vc_taken_[p * num_vcs_ + v];
   }
 

@@ -6,76 +6,46 @@ namespace disco::noc {
 
 namespace {
 
-void save_packet(snap::Writer& w, PacketTable& t, const Packet& p) {
-  w.u64(p.id);
-  w.u16(p.src);
-  w.u16(p.dst);
-  w.u8(static_cast<std::uint8_t>(p.src_unit));
-  w.u8(static_cast<std::uint8_t>(p.dst_unit));
-  w.u8(static_cast<std::uint8_t>(p.vnet));
-  w.u8(p.proto_msg);
-  w.u64(p.addr);
-  w.b(p.has_data);
-  w.b(p.compressible);
-  w.b(p.critical);
-  w.b(p.comp_failed);
-  w.b(p.was_compressed);
-  w.b(p.from_dram);
-  w.b(p.decompressed_in_network);
-  w.raw(std::span<const std::uint8_t>(p.data.data(), p.data.size()));
-  save_opt_encoded(w, p.encoded);
-  w.u32(p.payload_crc);
-  w.b(p.crc_valid);
-  w.u32(p.retry);
-  w.u64(p.retransmit_of);
-  w.u64(p.nack_for);
-  // nack_ref is a non-owning handle: resolve it to a real reference (null if
-  // stale). Wire format unchanged — a live target still round-trips as an
-  // interned table id, a stale handle as id 0.
-  t.save_ref(w, packet_pool().resolve(p.nack_ref));
-  w.u8(p.route_phase);
-  w.u32(p.route_epoch);
-  w.u64(p.created);
-  w.u64(p.injected);
-  w.u64(p.ejected);
-  w.u32(p.hops);
-  w.u64(p.idle_cycles);
-}
-
-void load_packet(snap::Reader& r, const PacketTable& t, Packet& p) {
-  p.id = r.u64();
-  p.src = static_cast<NodeId>(r.u16());
-  p.dst = static_cast<NodeId>(r.u16());
-  p.src_unit = static_cast<UnitKind>(r.u8());
-  p.dst_unit = static_cast<UnitKind>(r.u8());
-  p.vnet = static_cast<VNet>(r.u8());
-  p.proto_msg = r.u8();
-  p.addr = r.u64();
-  p.has_data = r.b();
-  p.compressible = r.b();
-  p.critical = r.b();
-  p.comp_failed = r.b();
-  p.was_compressed = r.b();
-  p.from_dram = r.b();
-  p.decompressed_in_network = r.b();
-  r.raw(std::span<std::uint8_t>(p.data.data(), p.data.size()));
-  p.encoded = load_opt_encoded(r);
-  p.payload_crc = r.u32();
-  p.crc_valid = r.b();
-  p.retry = r.u32();
-  p.retransmit_of = r.u64();
-  p.nack_for = r.u64();
-  if (const PacketPtr ref = t.load_ref(r); ref != nullptr)
-    p.nack_ref = packet_pool().handle_of(ref.get());
-  else
-    p.nack_ref = PacketHandle{};
-  p.route_phase = r.u8();
-  p.route_epoch = r.u32();
-  p.created = r.u64();
-  p.injected = r.u64();
-  p.ejected = r.u64();
-  p.hops = r.u32();
-  p.idle_cycles = r.u64();
+template <class Ar, class Tab>
+void serialize(Ar& ar, Tab& t, snap::Ref<Ar, Packet> p) {
+  ar.u64(p.id);
+  ar.u16(p.src);
+  ar.u16(p.dst);
+  ar.en(p.src_unit, UnitKind::MemCtrl);
+  ar.en(p.dst_unit, UnitKind::MemCtrl);
+  ar.en(p.vnet, VNet::Coherence);
+  ar.u8(p.proto_msg);
+  ar.u64(p.addr);
+  ar.b(p.has_data);
+  ar.b(p.compressible);
+  ar.b(p.critical);
+  ar.b(p.comp_failed);
+  ar.b(p.was_compressed);
+  ar.b(p.from_dram);
+  ar.b(p.decompressed_in_network);
+  ar.raw(p.data);
+  noc::serialize(ar, p.encoded);
+  ar.u32(p.payload_crc);
+  ar.b(p.crc_valid);
+  ar.u32(p.retry);
+  ar.u64(p.retransmit_of);
+  ar.u64(p.nack_for);
+  // nack_ref is a non-owning handle: it travels as a real reference (null
+  // if stale), so a live target round-trips as an interned table id and a
+  // stale handle as id 0.
+  PacketPtr nack;
+  if constexpr (!Ar::kLoading) nack = packet_pool().resolve(p.nack_ref);
+  t.ref(ar, nack);
+  if constexpr (Ar::kLoading)
+    p.nack_ref = nack != nullptr ? packet_pool().handle_of(nack.get())
+                                 : PacketHandle{};
+  ar.u8(p.route_phase);
+  ar.u32(p.route_epoch);
+  ar.u64(p.created);
+  ar.u64(p.injected);
+  ar.u64(p.ejected);
+  ar.u32(p.hops);
+  ar.u64(p.idle_cycles);
 }
 
 }  // namespace
@@ -94,234 +64,28 @@ void PacketTable::save_table(snap::Writer& w) {
   // Writing a packet may intern another one through nack_ref, growing the
   // worklist; the count is therefore only known after the bodies are done.
   snap::Writer bodies;
-  std::size_t i = 0;
-  while (i < pkts_.size()) {
-    save_packet(bodies, *this, *pkts_[i]);
-    ++i;
-  }
+  for (std::size_t i = 0; i < pkts_.size(); ++i)
+    serialize<snap::Writer>(bodies, *this, *pkts_[i]);
   w.u32(static_cast<std::uint32_t>(pkts_.size()));
   w.append(bodies);
 }
 
 void PacketTable::load_table(snap::Reader& r) {
   const std::uint32_t n = r.u32();
+  if (n > r.remaining())
+    throw snap::SnapshotError("snapshot: packet count past end of payload");
   pkts_.clear();
   pkts_.reserve(n);
   // Allocate first so forward/recursive references resolve while filling.
-  for (std::uint32_t i = 0; i < n; ++i)
-    pkts_.push_back(make_packet());
-  for (std::uint32_t i = 0; i < n; ++i) load_packet(r, *this, *pkts_[i]);
+  for (std::uint32_t i = 0; i < n; ++i) pkts_.push_back(make_packet());
+  for (const PacketPtr& p : pkts_) serialize<snap::Reader>(r, *this, *p);
 }
 
-PacketPtr PacketTable::load_ref(snap::Reader& r) const {
+void PacketTable::ref(snap::Reader& r, PacketPtr& p) const {
   const std::uint32_t idx = r.u32();
-  if (idx == 0) return nullptr;
   if (idx > pkts_.size())
     throw snap::SnapshotError("snapshot: packet reference out of range");
-  return pkts_[idx - 1];
-}
-
-void save_encoded(snap::Writer& w, const compress::Encoded& e) {
-  w.bytes(e.bytes);
-  w.u64(e.overhead_bytes);
-}
-
-compress::Encoded load_encoded(snap::Reader& r) {
-  compress::Encoded e;
-  e.bytes = r.bytes();
-  e.overhead_bytes = static_cast<std::size_t>(r.u64());
-  return e;
-}
-
-void save_opt_encoded(snap::Writer& w, const std::optional<compress::Encoded>& e) {
-  w.b(e.has_value());
-  if (e.has_value()) save_encoded(w, *e);
-}
-
-std::optional<compress::Encoded> load_opt_encoded(snap::Reader& r) {
-  if (!r.b()) return std::nullopt;
-  return load_encoded(r);
-}
-
-void save_flit(snap::Writer& w, PacketTable& t, const Flit& f) {
-  t.save_ref(w, f.pkt);
-  w.u32(f.seq);
-  w.u8(f.vc_tag);
-  w.u64(f.arrival);
-}
-
-Flit load_flit(snap::Reader& r, const PacketTable& t) {
-  Flit f;
-  f.pkt = t.load_ref(r);
-  f.seq = r.u32();
-  f.vc_tag = r.u8();
-  f.arrival = r.u64();
-  return f;
-}
-
-void save_vc(snap::Writer& w, PacketTable& t, const VirtualChannel& vc) {
-  w.u64(vc.buffer.size());
-  for (const Flit& f : vc.buffer) save_flit(w, t, f);
-  w.u8(static_cast<std::uint8_t>(vc.stage));
-  w.u8(static_cast<std::uint8_t>(vc.out_port));
-  w.u8(vc.out_vc);
-  w.u32(vc.sent_flits);
-  w.u64(vc.head_arrival);
-  w.u32(vc.credit_debt);
-  t.save_ref(w, vc.active_pkt);
-  w.b(vc.engine_busy);
-  w.b(vc.sa_inhibit);
-}
-
-void load_vc(snap::Reader& r, const PacketTable& t, VirtualChannel& vc) {
-  vc.buffer.clear();
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) vc.buffer.push_back(load_flit(r, t));
-  vc.stage = static_cast<VcStage>(r.u8());
-  vc.out_port = static_cast<Port>(r.u8());
-  vc.out_vc = r.u8();
-  vc.sent_flits = r.u32();
-  vc.head_arrival = r.u64();
-  vc.credit_debt = r.u32();
-  vc.active_pkt = t.load_ref(r);
-  vc.engine_busy = r.b();
-  vc.sa_inhibit = r.b();
-}
-
-void save_flit_link(snap::Writer& w, PacketTable& t, const FlitLink& l) {
-  w.u64(l.size());
-  l.for_each([&](Cycle ready, const Flit& f) {
-    w.u64(ready);
-    save_flit(w, t, f);
-  });
-  w.u64(l.last_push());
-}
-
-void load_flit_link(snap::Reader& r, const PacketTable& t, FlitLink& l) {
-  l.clear();
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const Cycle ready = r.u64();
-    l.restore_push(ready, load_flit(r, t));
-  }
-  l.set_last_push(r.u64());
-}
-
-void save_credit_link(snap::Writer& w, const CreditLink& l) {
-  w.u64(l.size());
-  l.for_each([&](Cycle ready, const Credit& c) {
-    w.u64(ready);
-    w.u8(c.vc);
-  });
-}
-
-void load_credit_link(snap::Reader& r, CreditLink& l) {
-  l.clear();
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const Cycle ready = r.u64();
-    l.restore_push(ready, Credit{r.u8()});
-  }
-}
-
-void save_noc_stats(snap::Writer& w, const NocStats& s) {
-  w.u64(s.buffer_writes);
-  w.u64(s.buffer_reads);
-  w.u64(s.crossbar_traversals);
-  w.u64(s.link_flits);
-  w.u64(s.alloc_ops);
-  w.u64(s.credits_sent);
-  w.u64(s.inflight_compressions);
-  w.u64(s.inflight_decompressions);
-  w.u64(s.source_compressions);
-  w.u64(s.compression_aborts);
-  w.u64(s.decompression_aborts);
-  w.u64(s.engine_starts);
-  w.u64(s.ni_compressions);
-  w.u64(s.ni_decompressions);
-  w.u64(s.exposed_decomp_cycles);
-  w.u64(s.exposed_comp_cycles);
-  w.u64(s.hidden_decomp_ops);
-  w.u64(s.crc_checks);
-  w.u64(s.corruptions_detected);
-  w.u64(s.silent_corruptions);
-  w.u64(s.flit_loss_timeouts);
-  w.u64(s.nacks_sent);
-  w.u64(s.retransmissions);
-  w.u64(s.retransmit_deliveries);
-  w.u64(s.backoff_cycles);
-  w.u64(s.duplicate_flits_dropped);
-  w.u64(s.duplicate_retransmissions);
-  w.u64(s.unrecovered_deliveries);
-  w.u64(s.engine_decode_errors);
-  w.u64(s.engines_quarantined);
-  w.u64(s.links_killed);
-  w.u64(s.routers_killed);
-  w.u64(s.engines_hard_failed);
-  w.u64(s.banks_killed);
-  w.u64(s.unreachable_drops);
-  w.u64(s.dead_component_drops);
-  w.u64(s.flits_destroyed);
-  w.u64(s.severed_packets);
-  w.u64(s.reroutes);
-  w.u64(s.bypass_retransmits);
-  w.u64(s.synth_completions);
-  w.u64(s.packets_injected);
-  w.u64(s.packets_ejected);
-  w.u64(s.flits_injected);
-  w.u64(s.sa_idle_losses);
-  for (const auto& acc : s.packet_latency) acc.save_state(w);
-  s.queueing_cycles.save_state(w);
-}
-
-void load_noc_stats(snap::Reader& r, NocStats& s) {
-  s.buffer_writes = r.u64();
-  s.buffer_reads = r.u64();
-  s.crossbar_traversals = r.u64();
-  s.link_flits = r.u64();
-  s.alloc_ops = r.u64();
-  s.credits_sent = r.u64();
-  s.inflight_compressions = r.u64();
-  s.inflight_decompressions = r.u64();
-  s.source_compressions = r.u64();
-  s.compression_aborts = r.u64();
-  s.decompression_aborts = r.u64();
-  s.engine_starts = r.u64();
-  s.ni_compressions = r.u64();
-  s.ni_decompressions = r.u64();
-  s.exposed_decomp_cycles = r.u64();
-  s.exposed_comp_cycles = r.u64();
-  s.hidden_decomp_ops = r.u64();
-  s.crc_checks = r.u64();
-  s.corruptions_detected = r.u64();
-  s.silent_corruptions = r.u64();
-  s.flit_loss_timeouts = r.u64();
-  s.nacks_sent = r.u64();
-  s.retransmissions = r.u64();
-  s.retransmit_deliveries = r.u64();
-  s.backoff_cycles = r.u64();
-  s.duplicate_flits_dropped = r.u64();
-  s.duplicate_retransmissions = r.u64();
-  s.unrecovered_deliveries = r.u64();
-  s.engine_decode_errors = r.u64();
-  s.engines_quarantined = r.u64();
-  s.links_killed = r.u64();
-  s.routers_killed = r.u64();
-  s.engines_hard_failed = r.u64();
-  s.banks_killed = r.u64();
-  s.unreachable_drops = r.u64();
-  s.dead_component_drops = r.u64();
-  s.flits_destroyed = r.u64();
-  s.severed_packets = r.u64();
-  s.reroutes = r.u64();
-  s.bypass_retransmits = r.u64();
-  s.synth_completions = r.u64();
-  s.packets_injected = r.u64();
-  s.packets_ejected = r.u64();
-  s.flits_injected = r.u64();
-  s.sa_idle_losses = r.u64();
-  for (auto& acc : s.packet_latency) acc.restore_state(r);
-  s.queueing_cycles.restore_state(r);
+  p = idx == 0 ? nullptr : pkts_[idx - 1];
 }
 
 }  // namespace disco::noc

@@ -1,6 +1,7 @@
-// NoC-layer snapshot helpers: packet-graph interning plus serializers for
-// the value types (Encoded, Flit, VirtualChannel, links, NocStats) shared by
-// every component that buffers packets.
+// NoC-layer snapshot helpers: packet-graph interning plus the field lists of
+// the value types (Encoded, Flit, VirtualChannel) shared by every component
+// that buffers packets. Like every component body, each is one function
+// template run by both archives (snap::Writer saves, snap::Reader loads).
 //
 // Packets are a shared object graph: one PacketPtr may be referenced from a
 // VC buffer, a link, a DISCO engine and an NI recovery table at once, and a
@@ -11,12 +12,11 @@
 // shared ownership is reconstructed exactly.
 #pragma once
 
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "common/snapshot.h"
-#include "noc/link.h"
-#include "noc/noc_stats.h"
 #include "noc/packet.h"
 #include "noc/vc.h"
 
@@ -24,21 +24,18 @@ namespace disco::noc {
 
 class PacketTable {
  public:
-  // --- save side ---
-  /// Intern `p` (registering it for the table) and write its u32 reference.
-  void save_ref(snap::Writer& w, const PacketPtr& p) { w.u32(intern(p)); }
+  /// Saving: intern `p` (registering it for the table) and write its u32
+  /// reference.
+  void ref(snap::Writer& w, const PacketPtr& p) { w.u32(intern(p)); }
+  /// Loading: read a u32 reference and resolve it against the loaded table.
+  void ref(snap::Reader& r, PacketPtr& p) const;
+
   /// Serialize the table itself. Call after every component body has been
   /// written (interning is closed under nack_ref via a worklist).
   void save_table(snap::Writer& w);
-
-  // --- restore side ---
   /// Deserialize the table: allocate-then-fill, so recursive references
   /// resolve. Call before restoring any component body.
   void load_table(snap::Reader& r);
-  /// Read a u32 reference and resolve it against the loaded table.
-  PacketPtr load_ref(snap::Reader& r) const;
-
-  std::size_t size() const { return pkts_.size(); }
 
  private:
   std::uint32_t intern(const PacketPtr& p);
@@ -46,24 +43,42 @@ class PacketTable {
   std::vector<PacketPtr> pkts_;
 };
 
-// Value-type serializers (all fields, declaration order, lossless).
-void save_encoded(snap::Writer& w, const compress::Encoded& e);
-compress::Encoded load_encoded(snap::Reader& r);
-void save_opt_encoded(snap::Writer& w, const std::optional<compress::Encoded>& e);
-std::optional<compress::Encoded> load_opt_encoded(snap::Reader& r);
+// Value-type field lists (all fields, declaration order, lossless). `Tab` is
+// PacketTable when saving and const PacketTable when loading; `vcs` bounds
+// the VC indices a loaded value may carry.
 
-void save_flit(snap::Writer& w, PacketTable& t, const Flit& f);
-Flit load_flit(snap::Reader& r, const PacketTable& t);
+template <class Ar>
+void serialize(Ar& ar, snap::Ref<Ar, compress::Encoded> e) {
+  ar.bytes(e.bytes);
+  ar.u64(e.overhead_bytes);
+}
 
-void save_vc(snap::Writer& w, PacketTable& t, const VirtualChannel& vc);
-void load_vc(snap::Reader& r, const PacketTable& t, VirtualChannel& vc);
+template <class Ar>
+void serialize(Ar& ar, snap::Ref<Ar, std::optional<compress::Encoded>> e) {
+  ar.opt(e, [&](auto& v) { serialize<Ar>(ar, v); });
+}
 
-void save_flit_link(snap::Writer& w, PacketTable& t, const FlitLink& l);
-void load_flit_link(snap::Reader& r, const PacketTable& t, FlitLink& l);
-void save_credit_link(snap::Writer& w, const CreditLink& l);
-void load_credit_link(snap::Reader& r, CreditLink& l);
+template <class Ar, class Tab>
+void serialize(Ar& ar, Tab& t, snap::Ref<Ar, Flit> f, std::uint32_t vcs) {
+  t.ref(ar, f.pkt);
+  ar.u32(f.seq);
+  ar.index(f.vc_tag, vcs, "snapshot: flit VC tag out of range");
+  ar.u64(f.arrival);
+}
 
-void save_noc_stats(snap::Writer& w, const NocStats& s);
-void load_noc_stats(snap::Reader& r, NocStats& s);
+template <class Ar, class Tab>
+void serialize(Ar& ar, Tab& t, snap::Ref<Ar, VirtualChannel> vc,
+               std::uint32_t vcs) {
+  ar.seq(vc.buffer, [&](auto& f) { serialize<Ar>(ar, t, f, vcs); });
+  ar.en(vc.stage, VcStage::Active);
+  ar.en(vc.out_port, Port::Local);
+  ar.index(vc.out_vc, vcs, "snapshot: VC out_vc out of range");
+  ar.u32(vc.sent_flits);
+  ar.u64(vc.head_arrival);
+  ar.u32(vc.credit_debt);
+  t.ref(ar, vc.active_pkt);
+  ar.b(vc.engine_busy);
+  ar.b(vc.sa_inhibit);
+}
 
 }  // namespace disco::noc

@@ -216,40 +216,25 @@ void Topology::recompute() {
   }
 }
 
-void Topology::save_state(snap::Writer& w) const {
-  const auto save_flags = [&](const std::vector<bool>& v) {
-    w.u64(v.size());
-    for (const bool f : v) w.b(f);
-  };
-  save_flags(router_alive_);
-  save_flags(engine_alive_);
-  save_flags(bank_alive_);
-  w.u64(link_alive_.size());
-  for (const auto& dirs : link_alive_)
-    for (const bool f : dirs) w.b(f);
-  w.b(routing_healthy_);
-  w.u32(epoch_);
-  w.u32(dead_routers_);
-  w.u32(dead_links_);
+template <class Self, class Ar>
+void Topology::io(Self& s, Ar& ar) {
+  for (auto* flags : {&s.router_alive_, &s.engine_alive_, &s.bank_alive_}) {
+    ar.count(flags->size(), "snapshot: topology geometry mismatch");
+    ar.flags(*flags);
+  }
+  ar.count(s.link_alive_.size(), "snapshot: topology geometry mismatch");
+  for (auto& dirs : s.link_alive_)
+    for (auto& f : dirs) ar.b(f);
+  ar.b(s.routing_healthy_);
+  ar.u32(s.epoch_);
+  ar.u32(s.dead_routers_);
+  ar.u32(s.dead_links_);
 }
 
-void Topology::restore_state(snap::Reader& r) {
-  const auto load_flags = [&](std::vector<bool>& v) {
-    if (r.u64() != v.size())
-      throw snap::SnapshotError("snapshot: topology geometry mismatch");
-    for (std::size_t i = 0; i < v.size(); ++i) v[i] = r.b();
-  };
-  load_flags(router_alive_);
-  load_flags(engine_alive_);
-  load_flags(bank_alive_);
-  if (r.u64() != link_alive_.size())
-    throw snap::SnapshotError("snapshot: topology geometry mismatch");
-  for (auto& dirs : link_alive_)
-    for (bool& f : dirs) f = r.b();
-  routing_healthy_ = r.b();
-  epoch_ = r.u32();
-  dead_routers_ = r.u32();
-  dead_links_ = r.u32();
+void Topology::serialize(snap::Writer& w) const { io(*this, w); }
+
+void Topology::serialize(snap::Reader& r) {
+  io(*this, r);
   recompute();
 }
 

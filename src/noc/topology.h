@@ -98,10 +98,13 @@ class Topology {
   /// Checkpoint/restore: the alive flags + epoch are the primary state; the
   /// component map and next-hop tables are recomputed on restore (they are a
   /// pure function of the alive sets, with deterministic tie-breaks).
-  void save_state(snap::Writer& w) const;
-  void restore_state(snap::Reader& r);
+  void serialize(snap::Writer& w) const;
+  void serialize(snap::Reader& r);
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& ar);
+
   std::size_t pair_index(NodeId here, NodeId dst) const {
     return static_cast<std::size_t>(here) * mesh_.num_nodes() + dst;
   }

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <unistd.h>
@@ -28,51 +29,57 @@ std::uint64_t cell_digest(const SystemConfig& cfg,
 
 namespace {
 
-/// Restore-or-warmup, then the chunked measurement loop. Returns nothing;
-/// on exit `sys` has simulated exactly opt.measure_cycles of measurement.
-void run_measurement(cmp::CmpSystem& sys, const SystemConfig& cfg,
-                     const workload::BenchmarkProfile& profile,
-                     const RunOptions& opt) {
+/// Restore-or-warmup, then the chunked measurement loop. Returns the system
+/// that has simulated exactly opt.measure_cycles of measurement.
+std::unique_ptr<cmp::CmpSystem> run_measurement(
+    const SystemConfig& cfg, const workload::BenchmarkProfile& profile,
+    const RunOptions& opt) {
+  auto sys = std::make_unique<cmp::CmpSystem>(cfg, profile);
   const bool checkpointing =
       opt.snapshot_interval > 0 && !opt.snapshot_path.empty();
   if (!checkpointing) {
-    sys.functional_warmup(opt.warmup_ops_per_core);
-    sys.run(opt.warmup_cycles);
-    sys.reset_stats();
-    sys.run(opt.measure_cycles);
-    return;
+    sys->functional_warmup(opt.warmup_ops_per_core);
+    sys->run(opt.warmup_cycles);
+    sys->reset_stats();
+    sys->run(opt.measure_cycles);
+    return sys;
   }
 
   const std::uint64_t digest = cell_digest(cfg, profile, opt);
   Cycle done = 0;
   if (::access(opt.snapshot_path.c_str(), R_OK) == 0) {
     try {
-      done = sys.restore_snapshot(opt.snapshot_path, digest);
+      done = sys->restore_snapshot(opt.snapshot_path, digest);
       if (done > opt.measure_cycles) done = opt.measure_cycles;
     } catch (const snap::SnapshotError&) {
       // Corrupted / truncated / different-cell snapshot: fall back to a
-      // from-zero run. The file is superseded by the next good snapshot.
+      // from-zero run. A rejected restore may have overwritten part of the
+      // system before it threw, so the rerun starts on a fresh one. The
+      // file is superseded by the next good snapshot.
+      sys.reset();
+      sys = std::make_unique<cmp::CmpSystem>(cfg, profile);
       done = 0;
     }
   }
   if (opt.resumed_from_cycles) *opt.resumed_from_cycles = done;
   if (done == 0) {
-    sys.functional_warmup(opt.warmup_ops_per_core);
-    sys.run(opt.warmup_cycles);
-    sys.reset_stats();
+    sys->functional_warmup(opt.warmup_ops_per_core);
+    sys->run(opt.warmup_cycles);
+    sys->reset_stats();
   }
 
   while (done < opt.measure_cycles) {
     const Cycle chunk =
         std::min<Cycle>(opt.snapshot_interval, opt.measure_cycles - done);
-    sys.run(chunk);
+    sys->run(chunk);
     done += chunk;
     if (done < opt.measure_cycles) {
-      sys.save_snapshot(opt.snapshot_path, done, digest);
+      sys->save_snapshot(opt.snapshot_path, done, digest);
       if (opt.debug_kill_at > 0 && done >= opt.debug_kill_at)
         ::raise(SIGKILL);  // crash drill: die right between snapshots
     }
   }
+  return sys;
 }
 
 }  // namespace
@@ -80,8 +87,9 @@ void run_measurement(cmp::CmpSystem& sys, const SystemConfig& cfg,
 CellResult run_cell(const SystemConfig& cfg,
                     const workload::BenchmarkProfile& profile,
                     const RunOptions& opt) {
-  cmp::CmpSystem sys(cfg, profile);
-  run_measurement(sys, cfg, profile, opt);
+  const std::unique_ptr<cmp::CmpSystem> owned =
+      run_measurement(cfg, profile, opt);
+  const cmp::CmpSystem& sys = *owned;
 
   const auto& cs = sys.cache_stats();
   const auto& ns = sys.noc_stats();

@@ -273,99 +273,42 @@ void InvariantChecker::end_of_cycle(Cycle now, std::uint64_t structural_inflight
   }
 }
 
-void InvariantChecker::save_state(snap::Writer& w) const {
-  w.b(summary_.enabled);
-  for (const std::uint64_t v :
-       {summary_.events_checked, summary_.cycles_checked, summary_.violations,
-        summary_.credit_violations, summary_.conservation_violations,
-        summary_.vc_state_violations, summary_.shadow_violations,
-        summary_.confidence_violations, summary_.eject_violations,
-        summary_.cache_violations, summary_.topology_violations})
-    w.u64(v);
-  w.str(summary_.first_violation);
+template <class Self, class Ar>
+void InvariantChecker::io(Self& s, Ar& ar) {
+  auto& sum = s.summary_;
+  ar.b(sum.enabled);
+  for (auto* v :
+       {&sum.events_checked, &sum.cycles_checked, &sum.violations,
+        &sum.credit_violations, &sum.conservation_violations,
+        &sum.vc_state_violations, &sum.shadow_violations,
+        &sum.confidence_violations, &sum.eject_violations,
+        &sum.cache_violations, &sum.topology_violations})
+    ar.u64(*v);
+  ar.str(sum.first_violation);
 
-  w.u64(credits_.size());
-  for (const std::uint32_t c : credits_) w.u32(c);
-  w.u64(ni_credits_.size());
-  for (const std::uint32_t c : ni_credits_) w.u32(c);
-  for (const VcState v : vc_state_) w.u8(static_cast<std::uint8_t>(v));
-  for (const bool d : dead_nodes_) w.b(d);
+  ar.count(s.credits_.size(), "snapshot: checker geometry mismatch");
+  for (auto& c : s.credits_) ar.u32(c);
+  ar.count(s.ni_credits_.size(), "snapshot: checker geometry mismatch");
+  for (auto& c : s.ni_credits_) ar.u32(c);
+  for (auto& v : s.vc_state_) ar.en(v, VcState::Active);
+  ar.flags(s.dead_nodes_);
 
-  // Unordered maps serialize sorted by key for byte-deterministic saves.
-  std::vector<std::uint64_t> keys;
-  keys.reserve(shadows_.size());
-  for (const auto& [k, sh] : shadows_) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  w.u64(keys.size());
-  for (const std::uint64_t k : keys) {
-    const Shadow& sh = shadows_.at(k);
-    w.u64(k);
-    w.u64(sh.pkt);
-    w.b(sh.decided);
-  }
-  keys.clear();
-  keys.reserve(ejected_seqs_.size());
-  for (const auto& [k, v] : ejected_seqs_) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  w.u64(keys.size());
-  for (const std::uint64_t k : keys) {
-    w.u64(k);
-    w.u64(ejected_seqs_.at(k));
-  }
+  ar.map(s.shadows_, [&](auto& sh) {
+    ar.u64(sh.pkt);
+    ar.b(sh.decided);
+  });
+  ar.map(s.ejected_seqs_, [&](auto& seq) { ar.u64(seq); });
 
-  w.u64(injected_flits_);
-  w.u64(ejected_flits_);
-  w.u64(killed_flits_);
-  w.i64(rebuild_delta_);
-  w.f64(conf_comp_max_);
-  w.f64(conf_decomp_min_);
-  w.f64(conf_decomp_max_);
+  ar.u64(s.injected_flits_);
+  ar.u64(s.ejected_flits_);
+  ar.u64(s.killed_flits_);
+  ar.i64(s.rebuild_delta_);
+  ar.f64(s.conf_comp_max_);
+  ar.f64(s.conf_decomp_min_);
+  ar.f64(s.conf_decomp_max_);
 }
 
-void InvariantChecker::restore_state(snap::Reader& r) {
-  summary_.enabled = r.b();
-  for (std::uint64_t* v :
-       {&summary_.events_checked, &summary_.cycles_checked,
-        &summary_.violations, &summary_.credit_violations,
-        &summary_.conservation_violations, &summary_.vc_state_violations,
-        &summary_.shadow_violations, &summary_.confidence_violations,
-        &summary_.eject_violations, &summary_.cache_violations,
-        &summary_.topology_violations})
-    *v = r.u64();
-  summary_.first_violation = r.str();
-
-  if (r.u64() != credits_.size())
-    throw snap::SnapshotError("snapshot: checker geometry mismatch");
-  for (std::uint32_t& c : credits_) c = r.u32();
-  if (r.u64() != ni_credits_.size())
-    throw snap::SnapshotError("snapshot: checker geometry mismatch");
-  for (std::uint32_t& c : ni_credits_) c = r.u32();
-  for (VcState& v : vc_state_) v = static_cast<VcState>(r.u8());
-  for (std::size_t i = 0; i < dead_nodes_.size(); ++i) dead_nodes_[i] = r.b();
-
-  shadows_.clear();
-  const std::uint64_t n_shadows = r.u64();
-  for (std::uint64_t i = 0; i < n_shadows; ++i) {
-    const std::uint64_t k = r.u64();
-    Shadow sh;
-    sh.pkt = r.u64();
-    sh.decided = r.b();
-    shadows_.emplace(static_cast<std::size_t>(k), sh);
-  }
-  ejected_seqs_.clear();
-  const std::uint64_t n_ej = r.u64();
-  for (std::uint64_t i = 0; i < n_ej; ++i) {
-    const std::uint64_t k = r.u64();
-    ejected_seqs_[k] = r.u64();
-  }
-
-  injected_flits_ = r.u64();
-  ejected_flits_ = r.u64();
-  killed_flits_ = r.u64();
-  rebuild_delta_ = r.i64();
-  conf_comp_max_ = r.f64();
-  conf_decomp_min_ = r.f64();
-  conf_decomp_max_ = r.f64();
-}
+void InvariantChecker::serialize(snap::Writer& w) const { io(*this, w); }
+void InvariantChecker::serialize(snap::Reader& r) { io(*this, r); }
 
 }  // namespace disco::trace

@@ -81,10 +81,13 @@ class InvariantChecker {
 
   /// Checkpoint/restore of every running model and the summary, so a
   /// restored run's final verdict equals the uninterrupted run's.
-  void save_state(snap::Writer& w) const;
-  void restore_state(snap::Reader& r);
+  void serialize(snap::Writer& w) const;
+  void serialize(snap::Reader& r);
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& ar);
+
   enum class VcState : std::uint8_t { Idle, VcAlloc, Active };
   struct Shadow {
     std::uint64_t pkt = 0;

@@ -213,43 +213,31 @@ void Tracer::write_chrome_json(std::ostream& os) const {
   os << "\n],\"displayTimeUnit\":\"ns\"}\n";
 }
 
-void Tracer::save_state(snap::Writer& w) const {
-  w.u64(capacity_);
-  w.u64(ring_.size());
-  for (const TraceEvent& e : ring_) {
-    w.u64(e.cycle);
-    w.u16(e.node);
-    w.u8(static_cast<std::uint8_t>(e.event));
-    w.u8(e.port);
-    w.u8(e.vc);
-    w.u64(e.pkt);
-    w.i64(e.arg);
+template <class Self, class Ar>
+void Tracer::io(Self& s, Ar& ar) {
+  ar.count(s.capacity_, "snapshot: tracer capacity mismatch");
+  ar.seq(s.ring_, [&](auto& e) {
+    ar.u64(e.cycle);
+    ar.u16(e.node);
+    ar.en(e.event, static_cast<Event>(kNumEvents - 1));
+    ar.u8(e.port);
+    ar.u8(e.vc);
+    ar.u64(e.pkt);
+    ar.i64(e.arg);
+  });
+  if constexpr (Ar::kLoading) {
+    if (s.ring_.size() > s.capacity_)
+      throw snap::SnapshotError("snapshot: tracer ring overflow");
   }
-  w.u64(head_);
-  w.u64(total_);
+  // head_ only walks once the ring is full; until then (and always for a
+  // disabled tracer, whose capacity is 0) it stays 0.
+  const bool full = s.capacity_ > 0 && s.ring_.size() == s.capacity_;
+  ar.index(s.head_, full ? s.capacity_ : 1,
+           "snapshot: tracer head out of range");
+  ar.u64(s.total_);
 }
 
-void Tracer::restore_state(snap::Reader& r) {
-  if (r.u64() != capacity_)
-    throw snap::SnapshotError("snapshot: tracer capacity mismatch");
-  ring_.clear();
-  const std::uint64_t n = r.u64();
-  if (n > capacity_)
-    throw snap::SnapshotError("snapshot: tracer ring overflow");
-  ring_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    TraceEvent e;
-    e.cycle = r.u64();
-    e.node = static_cast<NodeId>(r.u16());
-    e.event = static_cast<Event>(r.u8());
-    e.port = r.u8();
-    e.vc = r.u8();
-    e.pkt = r.u64();
-    e.arg = r.i64();
-    ring_.push_back(e);
-  }
-  head_ = r.u64();
-  total_ = r.u64();
-}
+void Tracer::serialize(snap::Writer& w) const { io(*this, w); }
+void Tracer::serialize(snap::Reader& r) { io(*this, r); }
 
 }  // namespace disco::trace

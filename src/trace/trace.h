@@ -147,10 +147,13 @@ class Tracer {
 
   /// Checkpoint/restore of the ring contents and sequence counters (the
   /// capture mask is config-derived and only geometry-checked).
-  void save_state(snap::Writer& w) const;
-  void restore_state(snap::Reader& r);
+  void serialize(snap::Writer& w) const;
+  void serialize(snap::Reader& r);
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& ar);
+
   std::vector<TraceEvent> ring_;
   std::size_t capacity_ = 0;
   std::size_t head_ = 0;   ///< next write slot when the ring is full

@@ -44,24 +44,21 @@ class TraceGenerator {
 
   /// Checkpoint/restore: RNG stream position + sequential-run cursor
   /// (private_base_ is a pure function of the constructor arguments).
-  void save_state(snap::Writer& w) const {
-    for (const std::uint64_t s : rng_.state()) w.u64(s);
-    w.u64(seq_addr_);
-    w.u32(seq_left_);
-    w.u64(seq_region_base_);
-    w.u64(seq_region_span_);
-  }
-  void restore_state(snap::Reader& r) {
-    std::array<std::uint64_t, 4> s{};
-    for (std::uint64_t& v : s) v = r.u64();
-    rng_.set_state(s);
-    seq_addr_ = r.u64();
-    seq_left_ = r.u32();
-    seq_region_base_ = r.u64();
-    seq_region_span_ = r.u64();
-  }
+  void serialize(snap::Writer& w) const { io(*this, w); }
+  void serialize(snap::Reader& r) { io(*this, r); }
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& ar) {
+    auto rng = s.rng_.state();
+    for (std::uint64_t& v : rng) ar.u64(v);
+    if constexpr (Ar::kLoading) s.rng_.set_state(rng);
+    ar.u64(s.seq_addr_);
+    ar.u32(s.seq_left_);
+    ar.u64(s.seq_region_base_);
+    ar.u64(s.seq_region_span_);
+  }
+
   Addr pick_block();
 
   const BenchmarkProfile& profile_;

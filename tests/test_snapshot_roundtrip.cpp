@@ -7,6 +7,7 @@
 // invariant summaries versus a run that never died.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -19,6 +20,9 @@
 #include "common/rng.h"
 #include "common/snapshot.h"
 #include "common/stats.h"
+#include "fault/fault.h"
+#include "noc/router.h"
+#include "noc/snapshot.h"
 #include "sim/experiment.h"
 #include "sim/wire.h"
 #include "trace/trace.h"
@@ -144,10 +148,10 @@ TEST(ComponentSnapshot, TraceGeneratorStreamContinuesExactly) {
   for (int i = 0; i < 500; ++i) a.next();
 
   snap::Writer w;
-  a.save_state(w);
+  a.serialize(w);
   workload::TraceGenerator b(profile, 3, 42);
   snap::Reader r(w.data());
-  b.restore_state(r);
+  b.serialize(r);
   EXPECT_NO_THROW(r.expect_end());
 
   for (int i = 0; i < 500; ++i) {
@@ -168,19 +172,19 @@ TEST(ComponentSnapshot, StatsRoundTripIsByteIdentical) {
     h.add(rng.next_below(1 << 20));
   }
   snap::Writer w1;
-  acc.save_state(w1);
-  h.save_state(w1);
+  acc.serialize(w1);
+  h.serialize(w1);
 
   Accumulator acc2;
   Histogram h2;
   snap::Reader r(w1.data());
-  acc2.restore_state(r);
-  h2.restore_state(r);
+  acc2.serialize(r);
+  h2.serialize(r);
   EXPECT_NO_THROW(r.expect_end());
 
   snap::Writer w2;
-  acc2.save_state(w2);
-  h2.save_state(w2);
+  acc2.serialize(w2);
+  h2.serialize(w2);
   EXPECT_EQ(w1.data(), w2.data());
   EXPECT_EQ(acc.mean(), acc2.mean());
   EXPECT_EQ(h.approx_quantile(0.9), h2.approx_quantile(0.9));
@@ -196,10 +200,10 @@ TEST(ComponentSnapshot, TracerRingRoundTrip) {
            0x1000 + i, static_cast<std::int64_t>(i));
 
   snap::Writer w;
-  a.save_state(w);
+  a.serialize(w);
   trace::Tracer b(cfg);
   snap::Reader r(w.data());
-  b.restore_state(r);
+  b.serialize(r);
   EXPECT_NO_THROW(r.expect_end());
 
   EXPECT_EQ(a.total_events(), b.total_events());
@@ -215,6 +219,82 @@ TEST(ComponentSnapshot, TracerRingRoundTrip) {
   a.write_canonical(ca2);
   b.write_canonical(cb2);
   EXPECT_EQ(ca2.str(), cb2.str());
+}
+
+TEST(ComponentSnapshot, DisabledTracerRoundTrip) {
+  // A checker-only run builds a Tracer that captures nothing (capacity 0);
+  // its empty ring and zero head must restore.
+  TraceConfig cfg;
+  cfg.check_invariants = true;
+  trace::Tracer a(cfg);
+  a.emit(1, 0, trace::Event::BufferWrite, 0, 0, 1, 0);
+  snap::Writer w;
+  a.serialize(w);
+  trace::Tracer b(cfg);
+  snap::Reader r(w.data());
+  EXPECT_NO_THROW(b.serialize(r));
+  EXPECT_NO_THROW(r.expect_end());
+  snap::Writer w2;
+  b.serialize(w2);
+  EXPECT_EQ(w.data(), w2.data());
+}
+
+// A snapshot's CRC catches corruption, not forgery: values a restored
+// component later uses as indices are range-checked on load.
+
+TEST(ComponentSnapshot, TracerHeadOutOfRangeIsRejected) {
+  TraceConfig cfg;
+  cfg.enabled = true;
+  cfg.ring_capacity = 64;
+  // head_ is the second-to-last u64 of the body (total_ is the last).
+  const auto patched_head = [&](std::uint64_t emits, std::uint64_t head) {
+    trace::Tracer a(cfg);
+    for (std::uint64_t i = 0; i < emits; ++i)
+      a.emit(i, 0, trace::Event::BufferWrite, 0, 0, i, 0);
+    snap::Writer w;
+    a.serialize(w);
+    std::vector<std::uint8_t> bytes = w.data();
+    for (std::size_t i = 0; i < 8; ++i)
+      bytes[bytes.size() - 16 + i] = static_cast<std::uint8_t>(head >> (8 * i));
+    return bytes;
+  };
+  {
+    trace::Tracer ok(cfg);
+    const std::vector<std::uint8_t> bytes = patched_head(200, 63);
+    snap::Reader r(bytes);
+    EXPECT_NO_THROW(ok.serialize(r)) << "a full ring's head may be 0..63";
+  }
+  for (const auto& [emits, head] :
+       {std::pair<std::uint64_t, std::uint64_t>{200, 64}, {200, 1000},
+        {10, 1}}) {
+    trace::Tracer b(cfg);
+    const std::vector<std::uint8_t> bytes = patched_head(emits, head);
+    snap::Reader r(bytes);
+    EXPECT_THROW(b.serialize(r), snap::SnapshotError)
+        << emits << " events, head " << head;
+  }
+}
+
+TEST(ComponentSnapshot, RouterVcOutPortOutOfRangeIsRejected) {
+  const noc::MeshShape mesh{4, 4};
+  const NocConfig cfg;
+  noc::NocStats stats;
+  noc::Router a(5, mesh, cfg, stats);
+  noc::PacketTable table;
+  snap::Writer w;
+  a.serialize(w, table);
+  // The first VC leads the body: u64 flit count, u8 stage, u8 out_port.
+  std::vector<std::uint8_t> bytes = w.data();
+  ASSERT_EQ(bytes[9], static_cast<std::uint8_t>(noc::Port::Local));
+  {
+    noc::Router ok(5, mesh, cfg, stats);
+    snap::Reader r(bytes);
+    EXPECT_NO_THROW(ok.serialize(r, table));
+  }
+  bytes[9] = static_cast<std::uint8_t>(noc::kNumPorts);
+  noc::Router b(5, mesh, cfg, stats);
+  snap::Reader r(bytes);
+  EXPECT_THROW(b.serialize(r, table), snap::SnapshotError);
 }
 
 // ---------------------------------------------------------------------------
@@ -254,6 +334,27 @@ TEST(SystemSnapshot, SaveRestoreSaveIsByteIdentical) {
 
   EXPECT_EQ(snap::read_snapshot_file(f1), snap::read_snapshot_file(f2))
       << "save -> restore -> save must reproduce identical bytes";
+}
+
+TEST(SystemSnapshot, CheckerOnlySystemSaveRestoreSaveIsByteIdentical) {
+  // Invariant checking without --trace still builds a (disabled) Tracer.
+  ScratchDir dir("sys-checker-only");
+  const auto& profile = workload::profile_by_name("canneal");
+  SystemConfig cfg = traced_config();
+  cfg.trace.enabled = false;
+
+  cmp::CmpSystem sys(cfg, profile);
+  ASSERT_NE(sys.tracer(), nullptr);
+  sys.functional_warmup(2000);
+  sys.run(6000);
+  const std::string f1 = dir.file("a.bin");
+  sys.save_snapshot(f1, 4000, 0xC0FFEE);
+
+  cmp::CmpSystem restored(cfg, profile);
+  EXPECT_EQ(restored.restore_snapshot(f1, 0xC0FFEE), 4000u);
+  const std::string f2 = dir.file("b.bin");
+  restored.save_snapshot(f2, 4000, 0xC0FFEE);
+  EXPECT_EQ(snap::read_snapshot_file(f1), snap::read_snapshot_file(f2));
 }
 
 TEST(SystemSnapshot, RestoredRunIsTraceIdenticalForNextKCycles) {
@@ -317,6 +418,102 @@ TEST(SystemSnapshot, MismatchedDigestAndGeometryAreRejected) {
   cmp::CmpSystem tiny(small, profile);
   EXPECT_THROW(tiny.restore_snapshot(path, 42), snap::SnapshotError)
       << "geometry mismatches must be rejected, not crash";
+}
+
+/// One kill of every component class (the HardFaultSystem schedule) on a
+/// traced, invariant-checked DISCO/delta cell.
+SystemConfig hard_fault_config() {
+  SystemConfig cfg;
+  cfg.scheme = Scheme::DISCO;
+  cfg.algorithm = "delta";
+  cfg.seed = 3;
+  cfg.trace.enabled = true;
+  cfg.trace.check_invariants = true;
+  cfg.trace.ring_capacity = 1 << 14;
+  cfg.fault.hard_faults = fault::parse_hard_fault_spec(
+      "engine@4000:5,link@6000:9:E,llc@8000:10,router@10000:6");
+  return cfg;
+}
+
+/// Snapshot payload of `sys` (envelope stripped).
+std::vector<std::uint8_t> payload_of(const cmp::CmpSystem& sys,
+                                     const ScratchDir& dir) {
+  const std::string path = dir.file("pin.bin");
+  sys.save_snapshot(path, 0, 1);
+  return snap::read_snapshot_file(path);
+}
+
+TEST(SystemSnapshot, PayloadBytesArePinned) {
+  // Save -> restore -> save only proves self-consistency: a change applied
+  // to both directions alike would still pass it. These constants pin the
+  // version-1 payload itself; if they move, the on-disk format changed and
+  // kSnapshotVersion must be bumped.
+  ScratchDir dir("pin");
+  const auto& profile = workload::profile_by_name("canneal");
+  ASSERT_EQ(snap::kSnapshotVersion, 1u);
+  {
+    cmp::CmpSystem sys(traced_config(), profile);
+    sys.functional_warmup(2000);
+    sys.run(6000);
+    const auto p = payload_of(sys, dir);
+    EXPECT_EQ(snap::crc32(p), 0x5975caafu);
+    EXPECT_EQ(p.size(), std::size_t{4106504});
+  }
+  {
+    cmp::CmpSystem sys(hard_fault_config(), profile);
+    sys.functional_warmup(2000);
+    sys.run(12000);
+    ASSERT_EQ(sys.hard_faults_applied(), 4u);
+    const auto p = payload_of(sys, dir);
+    EXPECT_EQ(snap::crc32(p), 0x1a4df6e4u);
+    EXPECT_EQ(p.size(), std::size_t{4302769});
+  }
+}
+
+TEST(SystemSnapshot, HardFaultedSystemResumesTraceIdentical) {
+  // Restoring a degraded system re-applies the kills recorded in the
+  // snapshot (topology, severed wires, NI bypass, engine quarantine) and
+  // keeps the rest of the schedule pending. Cut with two kills applied and
+  // two pending, then with all four applied.
+  ScratchDir dir("hard-fault");
+  const auto& profile = workload::profile_by_name("canneal");
+  const SystemConfig cfg = hard_fault_config();
+  for (const Cycle cut : {Cycle{7000}, Cycle{12000}}) {
+    SCOPED_TRACE("cut at cycle " + std::to_string(cut));
+    cmp::CmpSystem a(cfg, profile);
+    a.functional_warmup(2000);
+    a.run(cut);
+    const std::string f1 = dir.file("a.bin");
+    a.save_snapshot(f1, 0, 1);
+
+    cmp::CmpSystem b(cfg, profile);
+    b.restore_snapshot(f1, 1);
+    ASSERT_EQ(b.now(), a.now());
+    ASSERT_EQ(b.hard_faults_applied(), a.hard_faults_applied());
+    const std::string f2 = dir.file("b.bin");
+    b.save_snapshot(f2, 0, 1);
+    EXPECT_EQ(snap::read_snapshot_file(f1), snap::read_snapshot_file(f2))
+        << "save -> restore -> save must reproduce identical bytes";
+
+    constexpr Cycle kContinue = 6000;
+    a.run(kContinue);
+    b.run(kContinue);
+    EXPECT_EQ(a.hard_faults_applied(), 4u);
+    EXPECT_EQ(b.hard_faults_applied(), 4u);
+    EXPECT_EQ(a.total_core_ops(), b.total_core_ops());
+    EXPECT_EQ(a.noc_stats().link_flits, b.noc_stats().link_flits);
+    std::ostringstream ta, tb;
+    a.tracer()->write_canonical(ta);
+    b.tracer()->write_canonical(tb);
+    EXPECT_EQ(ta.str(), tb.str())
+        << "restored degraded system diverged from the uninterrupted one";
+    ASSERT_NE(a.invariant_checker(), nullptr);
+    const auto& sa = a.invariant_checker()->summary();
+    const auto& sb = b.invariant_checker()->summary();
+    EXPECT_EQ(sa.events_checked, sb.events_checked);
+    EXPECT_EQ(sa.violations, sb.violations);
+    EXPECT_EQ(sa.first_violation, sb.first_violation);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -388,6 +585,49 @@ TEST(ChunkedRunCell, ForeignSnapshotFallsBackToFromZeroRun) {
   const sim::CellResult r = sim::run_cell(cfg, profile, opt);
   EXPECT_EQ(resumed, 0u) << "digest mismatch must fall back to cycle 0";
   EXPECT_EQ(sim::wire::encode_result(clean), sim::wire::encode_result(r));
+}
+
+TEST(ChunkedRunCell, RejectedRestoreFallsBackToCleanRun) {
+  // A forged snapshot with a valid envelope and cell digest, rejected by a
+  // range check only after the metadata, stats and fault RNG have been
+  // read, must leave no trace in the from-zero rerun.
+  ScratchDir dir("forged");
+  const auto& profile = workload::profile_by_name("canneal");
+  const SystemConfig cfg = traced_config();
+  sim::RunOptions opt = tiny_run();
+  opt.snapshot_interval = 3000;
+  opt.snapshot_path = dir.file("snap.bin");
+
+  cmp::CmpSystem sys(cfg, profile);
+  sys.functional_warmup(opt.warmup_ops_per_core);
+  sys.run(opt.warmup_cycles);
+  sys.reset_stats();
+  sys.run(3000);
+  sys.save_snapshot(opt.snapshot_path, 3000,
+                    sim::cell_digest(cfg, profile, opt));
+
+  // Find the tracer body in the payload and push head_ (the second-to-last
+  // u64 of the body) past the ring's capacity.
+  snap::Writer tw;
+  sys.tracer()->serialize(tw);
+  const std::vector<std::uint8_t>& body = tw.data();
+  std::vector<std::uint8_t> payload =
+      snap::read_snapshot_file(opt.snapshot_path);
+  const auto at =
+      std::search(payload.begin(), payload.end(), body.begin(), body.end());
+  ASSERT_NE(at, payload.end());
+  const std::size_t head_at =
+      static_cast<std::size_t>(at - payload.begin()) + body.size() - 16;
+  for (std::size_t i = 0; i < 8; ++i) payload[head_at + i] = 0xFF;
+  snap::write_snapshot_file(opt.snapshot_path, payload);
+
+  const sim::CellResult clean = sim::run_cell(cfg, profile, tiny_run());
+  std::uint64_t resumed = 99;
+  opt.resumed_from_cycles = &resumed;
+  const sim::CellResult r = sim::run_cell(cfg, profile, opt);
+  EXPECT_EQ(resumed, 0u) << "a rejected restore must fall back to cycle 0";
+  EXPECT_EQ(sim::wire::encode_result(clean), sim::wire::encode_result(r))
+      << "the fallback run must not inherit partially restored state";
 }
 
 }  // namespace
