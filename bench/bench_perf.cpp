@@ -2,7 +2,9 @@
 // metrics. Two phases:
 //   1. The Fig. 5 sweep (13 PARSEC-like workloads x {Ideal, CC, CNC, DISCO},
 //      delta algorithm, standard phase lengths) -> cells/sec and
-//      sim-cycles/sec through the full CMP stack.
+//      sim-cycles/sec through the full CMP stack. It runs on one thread
+//      unless --threads is given, so it measures tick-loop speed, not the
+//      host's core count.
 //   2. An 8x8 network-only load run (uniform random, wormhole + DISCO) ->
 //      sim-cycles/sec through the bare router/NI/link tick loop.
 // Results are written to BENCH_perf.json (override with --json PATH) so every
@@ -118,6 +120,7 @@ struct PerfFlags {
   std::string baseline_path;
   double max_regress_pct = 20.0;
   bool smoke = false;
+  bool threads_given = false;  ///< --threads seen (passed through, not stripped)
 };
 
 PerfFlags extract_perf_flags(int& argc, char** argv) {
@@ -141,6 +144,7 @@ PerfFlags extract_perf_flags(int& argc, char** argv) {
     } else if (a == "--smoke") {
       f.smoke = true;
     } else {
+      f.threads_given |= a == "--threads";
       argv[out++] = argv[i];
     }
   }
@@ -166,7 +170,10 @@ bool json_mode_is(const std::string& text, const char* mode) {
 
 int main(int argc, char** argv) {
   const PerfFlags perf = extract_perf_flags(argc, argv);
-  const sim::SweepOptions sweep_opt = bench::sweep_options(argc, argv, "perf");
+  sim::SweepOptions sweep_opt = bench::sweep_options(argc, argv, "perf");
+  // The committed baselines are single-thread numbers: a default of hw-1
+  // threads would let parallelism hide a tick-loop slowdown from the gate.
+  if (!perf.threads_given) sweep_opt.threads = 1;
 
   SystemConfig cfg;
   cfg.algorithm = "delta";

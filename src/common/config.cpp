@@ -33,6 +33,12 @@ void SystemConfig::validate() const {
   // starvation rig for the no-progress watchdog (it starves, it doesn't
   // crash), whereas zero VCs per vnet is not even structurally wirable.
   if (noc.vcs_per_vnet == 0) fail("vcs_per_vnet must be non-zero");
+  // The router's VC masks give each port one 8-bit lane (and VA's
+  // round-robin key p * 8 + v is unique only within it).
+  if (noc.vcs_per_vnet > 8 / kNumVNets)
+    fail(std::to_string(noc.vcs_per_vnet) + " VCs per vnet gives " +
+         std::to_string(std::uint64_t{noc.vcs_per_vnet} * kNumVNets) +
+         " VCs per port; the router's VC masks hold at most 8");
   if (fault.hard_fault_rate < 0.0)
     fail("hard_fault_rate must be non-negative");
   for (const HardFaultEvent& e : fault.hard_faults) {

@@ -224,7 +224,8 @@ struct SystemConfig {
   /// Reject configurations the simulator cannot represent before they reach
   /// undefined behaviour (mesh_cols = 0 would hit `n % cols` in
   /// MeshShape::x_of; cols*rows overflow would wrap the node count; the
-  /// directory sharer bitmask caps the mesh at 64 tiles). Also validates the
+  /// directory sharer bitmask caps the mesh at 64 tiles; the router's VC
+  /// masks cap num_vcs() at 8). Also validates the
   /// hard-fault schedule against the mesh geometry. Throws
   /// std::invalid_argument with a precise message; entry points (sweep,
   /// benches, batch_runner) call this before constructing a system.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "noc/snapshot.h"
 
@@ -48,14 +49,14 @@ std::size_t DiscoUnit::quarantined_engines() const {
 }
 
 double DiscoUnit::compression_confidence(const VcId& v) const {
-  const VirtualChannel& ch = router_.vc(v);
+  const VirtualChannel& ch = std::as_const(router_).vc(v);
   const double remote = router_.downstream_occupancy(ch.out_port);
   const double local = router_.competing_vcs(ch.out_port, v);
   return remote + cfg_.gamma * local;  // Eq. 1
 }
 
 double DiscoUnit::decompression_confidence(const VcId& v) const {
-  const VirtualChannel& ch = router_.vc(v);
+  const VirtualChannel& ch = std::as_const(router_).vc(v);
   const noc::PacketPtr pkt = ch.head_packet();
   const double remote = router_.downstream_occupancy(ch.out_port);
   const double local = router_.competing_vcs(ch.out_port, v);
@@ -66,10 +67,13 @@ double DiscoUnit::decompression_confidence(const VcId& v) const {
 void DiscoUnit::after_allocation(Cycle now, const std::vector<VcId>& losers) {
   if (!engine_available() || losers.empty()) return;
 
-  // Packet filter + confidence counter (Fig. 3).
-  std::vector<Candidate> candidates;
+  // Packet filter + confidence counter (Fig. 3). Reads go through the
+  // router's const vc(): the mutable one would mark every loser for
+  // route_compute again.
+  auto& candidates = candidates_;
+  candidates.clear();
   for (const VcId& v : losers) {
-    VirtualChannel& ch = router_.vc(v);
+    const VirtualChannel& ch = std::as_const(router_).vc(v);
     const noc::PacketPtr pkt = ch.head_packet();
     if (!pkt || !pkt->has_data || ch.engine_busy || ch.sent_flits != 0) continue;
 
@@ -221,7 +225,7 @@ void DiscoUnit::tick(Cycle now) {
   if (cfg_.adaptive_thresholds && now >= next_adapt_) adapt_thresholds(now);
   for (Engine& eng : engines_) {
     if (!eng.busy || eng.done_at > now) continue;
-    VirtualChannel& ch = router_.vc(eng.vc);
+    const VirtualChannel& ch = std::as_const(router_).vc(eng.vc);
     if (ch.head_packet() != eng.pkt || ch.sent_flits != 0) {
       // The shadow left between allocation and completion; treat as abort.
       ++(eng.decompress ? stats_.decompression_aborts : stats_.compression_aborts);

@@ -99,6 +99,9 @@ class DiscoUnit final : public noc::RouterExtension {
   noc::NocStats& stats_;
   fault::FaultInjector* fi_ = nullptr;
   std::vector<Engine> engines_;
+  /// after_allocation's candidate list, kept as a member so the per-cycle
+  /// arbitration never reallocates. Scratch: not serialized.
+  std::vector<Candidate> candidates_;
 
   // Adaptive-threshold state (extension; see DiscoConfig).
   double cc_th_ = 0;

@@ -21,6 +21,7 @@ class PipelinedChannel {
   void push(Cycle now, T item) {
     queue_.push_back({now + 1, std::move(item)});
     if (wake_ != nullptr) *wake_ = 1;
+    if (inbox_ != nullptr) *inbox_ |= inbox_bit_;
   }
 
   /// Idle elision: point this channel at its consumer's pending-wake flag.
@@ -28,6 +29,13 @@ class PipelinedChannel {
   /// tick on the cycle the item becomes visible (pushes at t are visible at
   /// t+1, and the network latches pending flags at the top of each cycle).
   void set_wake(std::uint8_t* flag) { wake_ = flag; }
+
+  /// Point this channel at its consuming router's inbox word: every push
+  /// sets `bit`, so the router polls only the wires that may hold items.
+  void set_inbox(std::uint32_t* word, std::uint32_t bit) {
+    inbox_ = word;
+    inbox_bit_ = bit;
+  }
 
   /// Pop the next item that is visible at `now` (nullptr-like if none).
   bool try_pop(Cycle now, T& out) {
@@ -75,6 +83,8 @@ class PipelinedChannel {
   };
   Ring<Entry> queue_;
   std::uint8_t* wake_ = nullptr;  ///< consumer's pending-wake flag (optional)
+  std::uint32_t* inbox_ = nullptr;  ///< consuming router's inbox (optional)
+  std::uint32_t inbox_bit_ = 0;
 };
 
 /// Flit wire: at most one flit per cycle is pushed by the sender (enforced
@@ -92,6 +102,9 @@ class FlitLink {
   void clear() { chan_.clear(); }
   std::vector<Flit> take_all() { return chan_.take_all(); }
   void set_wake(std::uint8_t* flag) { chan_.set_wake(flag); }
+  void set_inbox(std::uint32_t* word, std::uint32_t bit) {
+    chan_.set_inbox(word, bit);
+  }
   Cycle front_ready() const { return chan_.front_ready(); }
 
   /// Checkpoint/restore (see PipelinedChannel::io).

@@ -144,6 +144,8 @@ void Network::check_elision_invariants(Cycle now) const {
     if (node_dead_[i]) continue;
     assert((run_[i] != 0 || routers_[i]->no_pending_work(now)) &&
            "idle elision skipped a router with pending work");
+    assert(routers_[i]->work_masks_cover_state() &&
+           "a router work mask or inbox bit was cleared under pending work");
     assert((run_[n + i] != 0 || nis_[i]->no_pending_work(now)) &&
            "idle elision skipped an NI with pending work");
   }

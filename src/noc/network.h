@@ -137,7 +137,8 @@ class Network {
   void finish_topology_kill(std::vector<PacketPtr> severed, Cycle now,
                             bool routes_changed);
   /// Idle-elision invariant (traced runs only): every component whose tick
-  /// was skipped this cycle must have had no pending work.
+  /// was skipped this cycle must have had no pending work, and every live
+  /// router's work masks and inbox must cover its VCs and input wires.
   void check_elision_invariants(Cycle now) const;
 
   MeshShape mesh_;

@@ -19,9 +19,10 @@ constexpr std::uint32_t kEjectionCredits = 1u << 30;
 Router::Router(NodeId id, const MeshShape& mesh, const NocConfig& cfg, NocStats& stats)
     : id_(id), mesh_(mesh), cfg_(cfg), stats_(stats) {
   const std::uint32_t vcs = cfg_.num_vcs();
-  assert(vcs <= 32 && "occupancy bitmask is one 32-bit word per port");
-  vc_mask_ = vcs >= 32 ? ~0u : (1u << vcs) - 1u;
+  assert(vcs <= kVcBits && "SystemConfig::validate() caps num_vcs at 8");
   num_vcs_ = vcs;
+  for (std::size_t p = 0; p < kNumPorts; ++p)
+    all_vcs_ |= ((std::uint64_t{1} << vcs) - 1) << (p * kVcBits);
   input_.resize(static_cast<std::size_t>(kNumPorts) * vcs);
   out_vc_taken_.assign(static_cast<std::size_t>(kNumPorts) * vcs, 0);
   credits_.resize(static_cast<std::size_t>(kNumPorts) * vcs);
@@ -49,83 +50,106 @@ void Router::tick(Cycle now) {
 }
 
 void Router::receive_credits(Cycle now) {
-  for (std::size_t p = 0; p < kNumPorts; ++p) {
-    if (in_credit_[p] == nullptr) continue;
-    Credit c;
-    while (in_credit_[p]->try_pop(now, c)) {
-      assert(c.vc < num_vcs_);
-      did_work_ = true;
-      ++credit(p, c.vc);
-      if (tracer_ != nullptr)
-        tracer_->emit(now, id_, trace::Event::CreditRecv,
-                      static_cast<std::uint8_t>(p), c.vc, 0, 0);
+  for (std::uint32_t m = (inbox_ >> kCreditInbox) & kPortBits; m != 0; m &= m - 1) {
+    const auto p = static_cast<std::size_t>(std::countr_zero(m));
+    CreditLink* link = in_credit_[p];
+    if (link != nullptr) {
+      Credit c;
+      while (link->try_pop(now, c)) {
+        assert(c.vc < num_vcs_);
+        did_work_ = true;
+        ++credit(p, c.vc);
+        if (tracer_ != nullptr)
+          tracer_->emit(now, id_, trace::Event::CreditRecv,
+                        static_cast<std::uint8_t>(p), c.vc, 0, 0);
+      }
+      if (!link->empty()) continue;  // pushed this cycle: visible next tick
     }
+    inbox_ &= ~(1u << (kCreditInbox + p));
   }
 }
 
 void Router::receive_flits(Cycle now) {
-  for (std::size_t p = 0; p < kNumPorts; ++p) {
-    if (in_flit_[p] == nullptr) continue;
-    Flit f;
-    while (in_flit_[p]->try_pop(now, f)) {
-      assert(f.vc_tag < num_vcs_);
-      if (degraded_ && filter_dead_flit(f, p, now)) continue;
-      f.arrival = now;
-      if (tracer_ != nullptr)
-        tracer_->emit(now, id_, trace::Event::BufferWrite,
-                      static_cast<std::uint8_t>(p), f.vc_tag, f.pkt->id,
-                      static_cast<std::int64_t>(f.seq));
-      did_work_ = true;
-      busy_vcs_[p] |= 1u << f.vc_tag;
-      in_vc(p, f.vc_tag).buffer.push_back(std::move(f));
-      ++stats_.buffer_writes;
+  for (std::uint32_t m = inbox_ & kPortBits; m != 0; m &= m - 1) {
+    const auto p = static_cast<std::size_t>(std::countr_zero(m));
+    FlitLink* link = in_flit_[p];
+    if (link != nullptr) {
+      Flit f;
+      while (link->try_pop(now, f)) {
+        assert(f.vc_tag < num_vcs_);
+        if (degraded_ && filter_dead_flit(f, p, now)) continue;
+        f.arrival = now;
+        if (tracer_ != nullptr)
+          tracer_->emit(now, id_, trace::Event::BufferWrite,
+                        static_cast<std::uint8_t>(p), f.vc_tag, f.pkt->id,
+                        static_cast<std::int64_t>(f.seq));
+        did_work_ = true;
+        const std::uint64_t b = vc_bit(p, f.vc_tag);
+        busy_ |= b;
+        rc_ |= b;
+        in_vc(p, f.vc_tag).buffer.push_back(std::move(f));
+        ++stats_.buffer_writes;
+      }
+      if (!link->empty()) continue;
     }
+    inbox_ &= ~(1u << p);
   }
 }
 
 void Router::route_compute(Cycle now) {
-  for (std::size_t p = 0; p < kNumPorts; ++p) {
-    for (std::uint32_t mask = busy_vcs_[p]; mask != 0; mask &= mask - 1) {
-      const auto v = static_cast<std::uint32_t>(std::countr_zero(mask));
-      auto& ch = in_vc(p, v);
-      if (ch.stage != VcStage::Idle) continue;
-      if (ch.buffer.empty()) {
-        // Self-clean: the occupancy bit was a false positive (or the VC
-        // just drained); drop it once the VC is fully back to reset state.
-        if (ch.sent_flits == 0 && !ch.engine_busy && !ch.sa_inhibit &&
-            ch.credit_debt == 0 && ch.active_pkt == nullptr)
-          busy_vcs_[p] &= ~(1u << v);
-        continue;
-      }
-      const Flit& head = ch.buffer.front();
-      assert(head.is_head() && "mid-packet flit at VC head in Idle stage");
-      if (topo_ == nullptr || topo_->routing_healthy()) {
-        ch.out_port = xy_route(mesh_, id_, head.pkt->dst);
-      } else {
-        Packet& pkt = *head.pkt;
-        if (pkt.route_epoch != topo_->epoch()) {
-          pkt.route_epoch = topo_->epoch();
-          pkt.route_phase = 0;
-        }
-        ch.out_port = topo_->route(id_, pkt.dst, pkt.route_phase);
-        if (ch.out_port != xy_route(mesh_, id_, pkt.dst)) {
-          ++stats_.reroutes;
-          if (tracer_ != nullptr)
-            tracer_->emit(now, id_, trace::Event::TopoReroute,
-                          static_cast<std::uint8_t>(p),
-                          static_cast<std::uint8_t>(v), pkt.id,
-                          static_cast<std::int64_t>(idx(ch.out_port)));
-        }
-      }
-      ch.head_arrival = head.arrival;
-      ch.stage = VcStage::VcAlloc;
-      if (tracer_ != nullptr)
-        tracer_->emit(now, id_, trace::Event::RouteCompute,
-                      static_cast<std::uint8_t>(p),
-                      static_cast<std::uint8_t>(v), head.pkt->id,
-                      static_cast<std::int64_t>(idx(ch.out_port)));
+  for (std::uint64_t mask = rc_; mask != 0; mask &= mask - 1) {
+    const auto bit = static_cast<std::uint32_t>(std::countr_zero(mask));
+    const std::size_t p = bit / kVcBits;
+    const std::uint32_t v = bit % kVcBits;
+    const std::uint64_t b = std::uint64_t{1} << bit;
+    auto& ch = in_vc(p, v);
+    // Re-file VCs already past RC (set by vc() or a body-flit write).
+    if (ch.stage == VcStage::VcAlloc) {
+      va_ |= b;
+      continue;
     }
+    if (ch.stage == VcStage::Active) {
+      sa_ |= b;
+      continue;
+    }
+    if (ch.buffer.empty()) {
+      // Self-clean: the occupancy bit was a false positive (or the VC just
+      // drained); drop it once the VC is fully back to reset state.
+      if (ch.sent_flits == 0 && !ch.engine_busy && !ch.sa_inhibit &&
+          ch.credit_debt == 0 && ch.active_pkt == nullptr)
+        busy_ &= ~b;
+      continue;
+    }
+    const Flit& head = ch.buffer.front();
+    assert(head.is_head() && "mid-packet flit at VC head in Idle stage");
+    if (topo_ == nullptr || topo_->routing_healthy()) {
+      ch.out_port = xy_route(mesh_, id_, head.pkt->dst);
+    } else {
+      Packet& pkt = *head.pkt;
+      if (pkt.route_epoch != topo_->epoch()) {
+        pkt.route_epoch = topo_->epoch();
+        pkt.route_phase = 0;
+      }
+      ch.out_port = topo_->route(id_, pkt.dst, pkt.route_phase);
+      if (ch.out_port != xy_route(mesh_, id_, pkt.dst)) {
+        ++stats_.reroutes;
+        if (tracer_ != nullptr)
+          tracer_->emit(now, id_, trace::Event::TopoReroute,
+                        static_cast<std::uint8_t>(p),
+                        static_cast<std::uint8_t>(v), pkt.id,
+                        static_cast<std::int64_t>(idx(ch.out_port)));
+      }
+    }
+    ch.head_arrival = head.arrival;
+    ch.stage = VcStage::VcAlloc;
+    va_ |= b;
+    if (tracer_ != nullptr)
+      tracer_->emit(now, id_, trace::Event::RouteCompute,
+                    static_cast<std::uint8_t>(p),
+                    static_cast<std::uint8_t>(v), head.pkt->id,
+                    static_cast<std::int64_t>(idx(ch.out_port)));
   }
+  rc_ = 0;
 }
 
 void Router::vc_allocate(Cycle now) {
@@ -134,30 +158,34 @@ void Router::vc_allocate(Cycle now) {
   // calls. va_rr_ is only advanced after the grant loops, so reading it at
   // collection time sees the same value the old in-sort read did.
   auto& requests = va_requests_;
-  for (auto& r : requests) r.clear();
-  for (std::size_t p = 0; p < kNumPorts; ++p) {
-    for (std::uint32_t mask = busy_vcs_[p]; mask != 0; mask &= mask - 1) {
-      const auto v = static_cast<std::uint32_t>(std::countr_zero(mask));
-      VirtualChannel& ch = in_vc(p, v);
-      if (ch.stage != VcStage::VcAlloc) continue;
-      if (now <= ch.head_arrival) continue;  // stage-2 pipeline constraint
-      const std::size_t out = idx(ch.out_port);
-      const int prio = priority_class(*ch.head_raw(), cfg_.deprioritize_compressible);
-      const std::uint32_t rr =
-          (static_cast<std::uint32_t>(p) * 8u + v + 64u - va_rr_[out]) % 64u;
-      requests[out].push_back(
-          {{static_cast<Port>(p), static_cast<std::uint8_t>(v)}, prio, rr});
+  std::uint32_t outs = 0;  // output ports with at least one request
+  for (std::uint64_t mask = va_; mask != 0; mask &= mask - 1) {
+    const auto bit = static_cast<std::uint32_t>(std::countr_zero(mask));
+    const std::size_t p = bit / kVcBits;
+    const std::uint32_t v = bit % kVcBits;
+    VirtualChannel& ch = in_vc(p, v);
+    if (ch.stage != VcStage::VcAlloc) {
+      va_ &= ~(std::uint64_t{1} << bit);
+      continue;
     }
+    if (now <= ch.head_arrival) continue;  // stage-2 pipeline constraint
+    const std::size_t out = idx(ch.out_port);
+    const int prio = priority_class(*ch.head_raw(), cfg_.deprioritize_compressible);
+    const std::uint32_t rr = (bit + 64u - va_rr_[out]) % 64u;
+    requests[out].push_back(
+        {{static_cast<Port>(p), static_cast<std::uint8_t>(v)}, prio, rr});
+    outs |= 1u << out;
   }
 
-  for (std::size_t out = 0; out < kNumPorts; ++out) {
+  for (; outs != 0; outs &= outs - 1) {
+    const auto out = static_cast<std::size_t>(std::countr_zero(outs));
     auto& reqs = requests[out];
-    if (reqs.empty()) continue;
     stats_.alloc_ops += reqs.size();
     // Priority class first, then round-robin position. Stable insertion
     // sort: request lists are tiny (a handful of VCs) and std::stable_sort's
     // heap-buffered merge showed up in profiles. Same order as stable_sort
-    // for any keys (and rr is unique per (port, vc), so no ties exist).
+    // for any keys (and rr = p * 8 + v - va_rr_ mod 64 is unique per
+    // (port, vc) with at most 8 VCs, so no ties exist).
     for (std::size_t i = 1; i < reqs.size(); ++i) {
       const VaReq key = reqs[i];
       std::size_t j = i;
@@ -170,7 +198,7 @@ void Router::vc_allocate(Cycle now) {
     }
     bool granted_any = false;
     for (const VaReq& r : reqs) {
-      VirtualChannel& ch = vc(r.id);
+      VirtualChannel& ch = in_vc(idx(r.id.port), r.id.vc);
       const auto vnet = static_cast<std::uint32_t>(ch.head_raw()->vnet);
       const std::uint32_t lo = vnet * cfg_.vcs_per_vnet;
       const std::uint32_t hi = lo + cfg_.vcs_per_vnet;
@@ -179,6 +207,9 @@ void Router::vc_allocate(Cycle now) {
         taken(out, ov) = 1;
         ch.out_vc = static_cast<std::uint8_t>(ov);
         ch.stage = VcStage::Active;
+        const std::uint64_t b = vc_bit(idx(r.id.port), r.id.vc);
+        va_ &= ~b;
+        sa_ |= b;
         granted_any = true;
         if (tracer_ != nullptr)
           tracer_->emit(now, id_, trace::Event::VcAllocGrant,
@@ -189,6 +220,7 @@ void Router::vc_allocate(Cycle now) {
       }
     }
     if (granted_any) va_rr_[out] = (va_rr_[out] + 1) % 64u;
+    reqs.clear();
   }
 }
 
@@ -205,22 +237,30 @@ bool Router::sa_eligible(const VirtualChannel& ch, Cycle now) const {
 }
 
 void Router::switch_allocate_and_traverse(Cycle now, std::vector<VcId>& losers) {
-  // Stage 1 (input arbitration): one candidate VC per input port.
-  std::array<int, kNumPorts> chosen_vc;
-  std::array<int, kNumPorts> chosen_prio;  // winner's priority, for stage 2
-  chosen_vc.fill(-1);
-  chosen_prio.fill(0);
+  // Stage 1 (input arbitration): one candidate VC per input port, visiting
+  // only VCs that may be Active (candidates) or VcAlloc (stall reports),
+  // port by port in VC order.
+  std::array<int, kNumPorts> chosen_vc{};
+  std::array<int, kNumPorts> chosen_prio{};  // winner's priority, for stage 2
+  std::array<std::uint32_t, kNumPorts> requesters{};  // per output: input ports
+  std::uint32_t outs = 0;  // outputs some input port chose
   auto& stalled = sa_stalled_;  // eligible work that cannot move this cycle
   stalled.clear();
 
-  for (std::size_t p = 0; p < kNumPorts; ++p) {
+  for (std::uint64_t work = va_ | sa_; work != 0;) {
+    const std::size_t p = static_cast<std::size_t>(std::countr_zero(work)) / kVcBits;
+    const std::uint64_t port_bits = std::uint64_t{0xFF} << (p * kVcBits);
+    std::uint64_t mask = work & port_bits;
+    work &= ~port_bits;
     int best = -1;
     int best_prio = 0;
     std::uint32_t best_rr = 0;
     const std::uint32_t vcs = num_vcs_;
-    for (std::uint32_t mask = busy_vcs_[p]; mask != 0; mask &= mask - 1) {
-      const auto v = static_cast<std::uint32_t>(std::countr_zero(mask));
+    for (; mask != 0; mask &= mask - 1) {
+      const auto bit = static_cast<std::uint32_t>(std::countr_zero(mask));
+      const std::uint32_t v = bit % kVcBits;
       VirtualChannel& ch = in_vc(p, v);
+      if (ch.stage != VcStage::Active) sa_ &= ~(std::uint64_t{1} << bit);
       if (!sa_eligible(ch, now)) {
         // VA-blocked packets are also idling candidates for DISCO.
         if (ch.stage == VcStage::VcAlloc && !ch.buffer.empty() &&
@@ -252,38 +292,25 @@ void Router::switch_allocate_and_traverse(Cycle now, std::vector<VcId>& losers) 
         stalled.push_back({static_cast<Port>(p), static_cast<std::uint8_t>(v)});
       }
     }
+    if (best < 0) continue;
     chosen_vc[p] = best;
     chosen_prio[p] = best_prio;
-    if (best >= 0) stats_.alloc_ops += 1;
+    const std::size_t out = idx(in_vc(p, static_cast<std::uint32_t>(best)).out_port);
+    requesters[out] |= 1u << p;
+    outs |= 1u << out;
+    stats_.alloc_ops += 1;
   }
 
-  // Early exit: with no stage-1 winner anywhere, stages 2 and 3 are no-ops
-  // (stage 2 skips ports with chosen_vc < 0, so sa_out_rr_ never advances)
-  // and only the stall report below has work left.
-  bool any_chosen = false;
-  for (std::size_t p = 0; p < kNumPorts; ++p) any_chosen |= chosen_vc[p] >= 0;
-  if (!any_chosen) {
-    for (const VcId& v : stalled) {
-      VirtualChannel& ch = vc(v);
-      if (ch.buffer.empty()) continue;
-      ++ch.head_raw()->idle_cycles;
-      ++stats_.sa_idle_losses;
-      losers.push_back(v);
-    }
-    return;
-  }
-
-  // Stage 2 (output arbitration): one input per output port.
-  std::array<int, kNumPorts> winner_input;
-  winner_input.fill(-1);
-  for (std::size_t out = 0; out < kNumPorts; ++out) {
+  // Stage 2 (output arbitration): one input per requested output port, in
+  // output order, over the input ports that chose a VC routed there.
+  std::array<int, kNumPorts> winner_input{};
+  for (std::uint32_t o = outs; o != 0; o &= o - 1) {
+    const auto out = static_cast<std::size_t>(std::countr_zero(o));
     int best_in = -1;
     int best_prio = 0;
     std::uint32_t best_rr = 0;
-    for (std::size_t p = 0; p < kNumPorts; ++p) {
-      if (chosen_vc[p] < 0) continue;
-      const VirtualChannel& ch = in_vc(p, static_cast<std::uint32_t>(chosen_vc[p]));
-      if (idx(ch.out_port) != out) continue;
+    for (std::uint32_t in = requesters[out]; in != 0; in &= in - 1) {
+      const auto p = static_cast<std::size_t>(std::countr_zero(in));
       const int prio = chosen_prio[p];  // computed on the same head in stage 1
       const std::uint32_t rr_pos =
           (static_cast<std::uint32_t>(p) + kNumPorts - sa_out_rr_[out]) % kNumPorts;
@@ -300,16 +327,16 @@ void Router::switch_allocate_and_traverse(Cycle now, std::vector<VcId>& losers) 
       }
     }
     winner_input[out] = best_in;
-    if (best_in >= 0) sa_out_rr_[out] = (static_cast<std::uint32_t>(best_in) + 1) % kNumPorts;
+    sa_out_rr_[out] = (static_cast<std::uint32_t>(best_in) + 1) % kNumPorts;
   }
 
   // Stage 3: switch traversal for winners.
-  for (std::size_t out = 0; out < kNumPorts; ++out) {
+  for (; outs != 0; outs &= outs - 1) {
+    const auto out = static_cast<std::size_t>(std::countr_zero(outs));
     const int p = winner_input[out];
-    if (p < 0) continue;
     const VcId vid{static_cast<Port>(p), static_cast<std::uint8_t>(chosen_vc[p])};
     did_work_ = true;
-    VirtualChannel& ch = vc(vid);
+    VirtualChannel& ch = in_vc(static_cast<std::size_t>(p), vid.vc);
     sa_in_rr_[p] = (static_cast<std::uint32_t>(chosen_vc[p]) + 1) % num_vcs_;
 
     Flit f = std::move(ch.buffer.front());
@@ -358,12 +385,16 @@ void Router::switch_allocate_and_traverse(Cycle now, std::vector<VcId>& losers) 
       ch.stage = VcStage::Idle;
       ch.sent_flits = 0;
       ch.active_pkt.reset();
+      // The next packet (or the drained VC's self-clean) is RC's now.
+      const std::uint64_t b = vc_bit(static_cast<std::size_t>(p), vid.vc);
+      sa_ &= ~b;
+      rc_ |= b;
     }
   }
 
   // Report stalls: eligible-but-not-moved VCs idle this cycle.
   for (const VcId& v : stalled) {
-    VirtualChannel& ch = vc(v);
+    VirtualChannel& ch = in_vc(idx(v.port), v.vc);
     if (ch.buffer.empty()) continue;
     ++ch.head_raw()->idle_cycles;
     ++stats_.sa_idle_losses;
@@ -372,7 +403,7 @@ void Router::switch_allocate_and_traverse(Cycle now, std::vector<VcId>& losers) 
 }
 
 void Router::send_credit_for_pop(const VcId& v, Cycle now) {
-  VirtualChannel& ch = vc(v);
+  VirtualChannel& ch = in_vc(idx(v.port), v.vc);
   if (ch.credit_debt > 0) {
     --ch.credit_debt;  // absorb the slot consumed by an earlier expansion
     return;
@@ -397,15 +428,15 @@ std::uint32_t Router::downstream_occupancy(Port out) const {
 
 std::uint32_t Router::competing_vcs(Port out, const VcId& self) const {
   std::uint32_t n = 0;
-  for (std::size_t p = 0; p < kNumPorts; ++p) {
-    for (std::uint32_t mask = busy_vcs_[p]; mask != 0; mask &= mask - 1) {
-      const auto v = static_cast<std::uint32_t>(std::countr_zero(mask));
-      const VirtualChannel& ch = in_vc(p, v);
-      if (ch.stage == VcStage::Idle || ch.buffer.empty()) continue;
-      if (ch.out_port != out) continue;
-      if (static_cast<Port>(p) == self.port && v == self.vc) continue;
-      ++n;
-    }
+  for (std::uint64_t mask = busy_; mask != 0; mask &= mask - 1) {
+    const auto bit = static_cast<std::uint32_t>(std::countr_zero(mask));
+    const std::size_t p = bit / kVcBits;
+    const std::uint32_t v = bit % kVcBits;
+    const VirtualChannel& ch = in_vc(p, v);
+    if (ch.stage == VcStage::Idle || ch.buffer.empty()) continue;
+    if (ch.out_port != out) continue;
+    if (static_cast<Port>(p) == self.port && v == self.vc) continue;
+    ++n;
   }
   return n;
 }
@@ -475,22 +506,27 @@ bool Router::can_sleep() const {
   // one extra awake no-op tick, which touches no stats, traces or snapshot
   // state (elision telemetry is deliberately excluded from all three).
   if (did_work_) return false;
-  for (std::size_t p = 0; p < kNumPorts; ++p) {
-    // Anything still in flight on an input wire needs a tick to be
-    // received, even though the push already raised the pending-wake flag
-    // (restored snapshots carry link contents without wake state).
-    if (in_flit_[p] != nullptr && !in_flit_[p]->empty()) return false;
-    if (in_credit_[p] != nullptr && !in_credit_[p]->empty()) return false;
-    // Occupied VCs all have their busy bit set (conservative superset), so
-    // only set bits need inspecting. no_pending_work() below deliberately
-    // keeps the full scan so traced runs cross-check this shortcut.
-    for (std::uint32_t mask = busy_vcs_[p]; mask != 0; mask &= mask - 1) {
-      const VirtualChannel& ch =
-          in_vc(p, static_cast<std::uint32_t>(std::countr_zero(mask)));
-      if (ch.stage != VcStage::Idle || !ch.buffer.empty() ||
-          ch.sent_flits != 0 || ch.engine_busy)
-        return false;
-    }
+  // Anything still in flight on an input wire needs a tick to be received,
+  // even though the push already raised the pending-wake flag (restored
+  // snapshots carry link contents without wake state). Non-empty wires all
+  // have their inbox bit set, so only set bits need inspecting.
+  for (std::uint32_t m = inbox_; m != 0; m &= m - 1) {
+    const auto bit = static_cast<std::uint32_t>(std::countr_zero(m));
+    const bool nonempty = bit < kCreditInbox
+                              ? in_flit_[bit] != nullptr && !in_flit_[bit]->empty()
+                              : in_credit_[bit - kCreditInbox] != nullptr &&
+                                    !in_credit_[bit - kCreditInbox]->empty();
+    if (nonempty) return false;
+  }
+  // Occupied VCs all have their busy bit set (conservative superset), so
+  // only set bits need inspecting. no_pending_work() below deliberately
+  // keeps the full scan so traced runs cross-check this shortcut.
+  for (std::uint64_t mask = busy_; mask != 0; mask &= mask - 1) {
+    const auto bit = static_cast<std::uint32_t>(std::countr_zero(mask));
+    const VirtualChannel& ch = in_vc(bit / kVcBits, bit % kVcBits);
+    if (ch.stage != VcStage::Idle || !ch.buffer.empty() ||
+        ch.sent_flits != 0 || ch.engine_busy)
+      return false;
   }
   // credit_debt with an empty buffer is safe to sleep on: the debt is only
   // ever settled against credits arriving on a wire, which wakes us.
@@ -513,6 +549,43 @@ bool Router::no_pending_work(Cycle now) const {
     }
   }
   return ext_ == nullptr || ext_->idle();
+}
+
+bool Router::work_masks_cover_state() const {
+  for (std::size_t p = 0; p < kNumPorts; ++p) {
+    for (std::uint32_t v = 0; v < num_vcs_; ++v) {
+      const VirtualChannel& ch = in_vc(p, v);
+      const std::uint64_t b = vc_bit(p, v);
+      const bool reset = ch.buffer.empty() && ch.stage == VcStage::Idle &&
+                         ch.sent_flits == 0 && !ch.engine_busy &&
+                         !ch.sa_inhibit && ch.credit_debt == 0 &&
+                         ch.active_pkt == nullptr;
+      if (!reset && (busy_ & b) == 0) return false;
+      switch (ch.stage) {
+        case VcStage::Idle:
+          if (!ch.buffer.empty() && (rc_ & b) == 0) return false;
+          break;
+        case VcStage::VcAlloc:
+          if (((rc_ | va_) & b) == 0) return false;
+          break;
+        case VcStage::Active:
+          if (((rc_ | sa_) & b) == 0) return false;
+          break;
+      }
+    }
+    if (in_flit_[p] != nullptr && !in_flit_[p]->empty() &&
+        (inbox_ & (1u << p)) == 0)
+      return false;
+    if (in_credit_[p] != nullptr && !in_credit_[p]->empty() &&
+        (inbox_ & (1u << (kCreditInbox + p))) == 0)
+      return false;
+  }
+  return true;
+}
+
+void Router::mark_all() {
+  busy_ = rc_ = va_ = sa_ = all_vcs_;
+  inbox_ = kPortBits | (kPortBits << kCreditInbox);
 }
 
 bool Router::filter_dead_flit(const Flit& f, std::size_t p, Cycle now) {
@@ -578,6 +651,7 @@ void Router::collect_buffered_packets(std::vector<PacketPtr>& out) const {
 
 std::uint64_t Router::scrub_condemned(Cycle now) {
   if (condemned_ == nullptr || condemned_->empty()) return 0;
+  mark_all();
   std::uint64_t killed = 0;
   for (std::size_t p = 0; p < kNumPorts; ++p) {
     for (std::uint32_t v = 0; v < num_vcs_; ++v) {
@@ -625,6 +699,7 @@ std::uint64_t Router::scrub_condemned(Cycle now) {
 }
 
 void Router::reset_unsent_vcs(Cycle now) {
+  mark_all();
   for (std::size_t p = 0; p < kNumPorts; ++p) {
     for (std::uint32_t v = 0; v < num_vcs_; ++v) {
       VirtualChannel& ch = in_vc(p, v);
@@ -645,6 +720,7 @@ void Router::reset_unsent_vcs(Cycle now) {
 }
 
 std::uint64_t Router::drain_dead(std::vector<PacketPtr>& inflight, Cycle now) {
+  mark_all();
   std::uint64_t killed = 0;
   for (std::size_t p = 0; p < kNumPorts; ++p) {
     for (std::uint32_t v = 0; v < num_vcs_; ++v) {
@@ -709,9 +785,9 @@ void Router::serialize(snap::Writer& w, PacketTable& t) const {
 
 void Router::serialize(snap::Reader& r, const PacketTable& t) {
   io(*this, r, t);
-  // Restored VCs may hold arbitrary state; rebuild the occupancy mask
-  // pessimistically and let route_compute clean it up.
-  busy_vcs_.fill(vc_mask_);
+  // Restored VCs and wires may hold arbitrary state (the owning Network
+  // restores the wires after this); the stages re-derive exact masks.
+  mark_all();
 }
 
 }  // namespace disco::noc

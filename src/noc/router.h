@@ -83,9 +83,16 @@ class Router {
   const MeshShape& mesh() const { return mesh_; }
 
   /// Wiring (done by Network). Null links mean no neighbour (mesh edge).
-  void connect_in_flit(Port p, FlitLink* link) { in_flit_[idx(p)] = link; }
+  /// Input wires report pushes into this router's inbox word.
+  void connect_in_flit(Port p, FlitLink* link) {
+    in_flit_[idx(p)] = link;
+    if (link != nullptr) link->set_inbox(&inbox_, 1u << idx(p));
+  }
   void connect_out_flit(Port p, FlitLink* link) { out_flit_[idx(p)] = link; }
-  void connect_in_credit(Port p, CreditLink* link) { in_credit_[idx(p)] = link; }
+  void connect_in_credit(Port p, CreditLink* link) {
+    in_credit_[idx(p)] = link;
+    if (link != nullptr) link->set_inbox(&inbox_, 1u << (kCreditInbox + idx(p)));
+  }
   void connect_out_credit(Port p, CreditLink* link) { out_credit_[idx(p)] = link; }
 
   void set_extension(RouterExtension* ext) { ext_ = ext; }
@@ -140,12 +147,20 @@ class Router {
   /// visible after `now` (their push already raised the pending-wake flag).
   bool no_pending_work(Cycle now) const;
 
+  /// Work-mask invariant (traced runs check it every cycle): every VC that
+  /// holds state has its busy bit, an Idle VC with flits its RC bit, a
+  /// VcAlloc VC its RC or VA bit, an Active VC its RC or SA bit, and every
+  /// non-empty input wire its inbox bit.
+  bool work_masks_cover_state() const;
+
   // --- introspection API used by the DISCO unit (Fig. 3 signals) ---
   /// Mutable access may dirty the VC (engines rebuild flits in place, tests
-  /// poke state directly), so it conservatively marks the VC occupied; the
-  /// next route_compute pass drops bits whose VC is verifiably idle again.
+  /// poke state directly), so it conservatively marks the VC occupied and
+  /// due for route_compute, which re-files it under the stage it is in.
   VirtualChannel& vc(const VcId& v) {
-    busy_vcs_[idx(v.port)] |= 1u << v.vc;
+    const std::uint64_t b = vc_bit(idx(v.port), v.vc);
+    busy_ |= b;
+    rc_ |= b;
     return in_vc(idx(v.port), v.vc);
   }
   const VirtualChannel& vc(const VcId& v) const { return in_vc(idx(v.port), v.vc); }
@@ -191,6 +206,21 @@ class Router {
   static void io(Self& s, Ar& ar, Tab& t);
 
   static constexpr std::size_t idx(Port p) { return static_cast<std::size_t>(p); }
+
+  /// VC masks give each port one byte: VC (p, v) is bit p * 8 + v, the key
+  /// VA's round-robin uses (SystemConfig::validate caps num_vcs at 8).
+  static constexpr std::uint32_t kVcBits = 8;
+  static constexpr std::uint64_t vc_bit(std::size_t p, std::uint32_t v) {
+    return std::uint64_t{1} << (p * kVcBits + v);
+  }
+  /// Inbox layout: bit p = in_flit_[p], bit kCreditInbox + p = in_credit_[p].
+  static constexpr std::uint32_t kCreditInbox = 8;
+  static constexpr std::uint32_t kPortBits = (1u << kNumPorts) - 1u;
+
+  /// Make every work mask and the inbox pessimistic (all bits set): after a
+  /// snapshot restore and after hard-fault paths rewrite VCs and wires out
+  /// of band. The stages re-derive exact masks on their next pass.
+  void mark_all();
 
   void receive_credits(Cycle now);
   void receive_flits(Cycle now);
@@ -271,19 +301,31 @@ class Router {
   std::array<std::vector<VaReq>, kNumPorts> va_requests_;
   std::vector<VcId> sa_stalled_;
 
-  /// Per-port VC occupancy bitmask: bit v set => input_[p][v] *may* hold
-  /// state (flits, a non-Idle stage, an engine shadow, credit debt). A
-  /// conservative superset: bits are set on every buffer write and every
-  /// mutable vc() access, and cleared only by route_compute once the VC is
-  /// verifiably back to reset state. The RC/VA/SA pipeline loops and
-  /// can_sleep() iterate set bits only — most of a lightly loaded router's
-  /// 30 VCs are empty, and scanning them dominated the tick profile.
-  /// Rebuilt pessimistically (all bits set) after a snapshot restore.
-  /// Not simulated state: never serialized, never affects behaviour — the
-  /// invariant checker's no_pending_work() deliberately ignores it and
-  /// full-scans, so a wrongly cleared bit fails traced runs loudly.
-  std::array<std::uint32_t, kNumPorts> busy_vcs_{};
-  std::uint32_t vc_mask_ = 0;  ///< (1 << num_vcs) - 1
+  /// Work masks (bit p * 8 + v, see vc_bit): each pipeline stage visits
+  /// only the VCs that may have work for it — a router holds ~2 occupied
+  /// VCs of its 30, and scanning all five ports per stage dominated the
+  /// tick profile. Each is a conservative superset:
+  ///   busy_ — VC may hold state (flits, a non-Idle stage, an engine
+  ///           shadow, credit debt); set on buffer write and by vc(),
+  ///           cleared by route_compute once the VC is back to reset state.
+  ///   rc_   — VC may need route_compute: set on buffer write, on tail
+  ///           departure and by vc(); route_compute clears it, routing Idle
+  ///           heads and re-filing VcAlloc/Active VCs into va_/sa_.
+  ///   va_   — VC may be in VcAlloc; cleared by vc_allocate on a grant or
+  ///           when the VC is no longer waiting.
+  ///   sa_   — VC may be Active; cleared by switch allocation when the tail
+  ///           departs or the VC is found in another stage.
+  /// Not simulated state: never serialized, never affects behaviour.
+  /// Traced runs check work_masks_cover_state() every cycle, so a wrongly
+  /// cleared bit fails loudly.
+  std::uint64_t busy_ = 0;
+  std::uint64_t rc_ = 0;
+  std::uint64_t va_ = 0;
+  std::uint64_t sa_ = 0;
+  std::uint64_t all_vcs_ = 0;  ///< every valid VC bit
+  /// Input wires that may hold items (layout: kCreditInbox). Set by the
+  /// wire on push, cleared by receive_* once the wire is empty.
+  std::uint32_t inbox_ = 0;
 
   /// True if this tick received or forwarded anything; can_sleep()'s fast
   /// path. Transient per-tick scratch, never serialized (a restored router

@@ -114,6 +114,12 @@ TEST(HardFaultConfig, ValidateRejectsDegenerateSystems) {
   bad.noc.vcs_per_vnet = 0;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   bad = ok;
+  bad.noc.vcs_per_vnet = 3;  // 9 VCs per port: past the 8-bit VC mask lane
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
+  bad = ok;
+  bad.noc.vcs_per_vnet = 0x55555556u;  // num_vcs() = 3x that wraps to 2
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
+  bad = ok;
   bad.fault.hard_fault_rate = -0.5;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   bad = ok;

@@ -1,10 +1,11 @@
 // Hot-path equivalence suite: the pooled/ring/bitmask tick loop must be
-// observationally identical to the seed implementation. Three angles, one
-// per golden scenario / workload:
+// observationally identical to the seed implementation. Four angles:
 //   - the checked-in golden traces still reproduce byte for byte, and every
 //     scenario returns the packet pool to its starting live count,
 //   - sweep JSON is byte-identical at --threads 1 and --threads 4 on a grid
 //     that exercises compression, faults and retransmissions,
+//   - healthy {CC, CNC, DISCO} x {delta, sc2} cells on two workloads the
+//     golden traces do not use reproduce pinned result-JSON digests,
 //   - a mid-cell snapshot resume continues trace- and stats-identical to
 //     the uninterrupted run on each golden workload.
 #include <gtest/gtest.h>
@@ -114,6 +115,62 @@ TEST(HotPathEquivalence, SweepJsonIsThreadCountInvariantUnderFaults) {
   sim::write_json(jb, b.ok_results());
   EXPECT_EQ(ja.str(), jb.str())
       << "sweep JSON must not depend on the thread count";
+}
+
+/// FNV-1a over a string's bytes.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const char c : s) h = (h ^ static_cast<std::uint8_t>(c)) * 0x100000001B3ULL;
+  return h;
+}
+
+struct PinnedCell {
+  const char* workload;
+  Scheme scheme;
+  const char* algorithm;
+  std::uint64_t digest;  ///< fnv1a of the cell's write_json output
+};
+
+// Healthy (fault-free, untraced) cells the golden traces do not cover: the
+// plain CC/CNC schemes, and DISCO arbitration on two algorithms. Any change
+// to arbitration order (VA grant order, the SA losers list DISCO's
+// stable_sort reads) shifts packet timing and so these digests. A change
+// that is meant to alter simulated results updates this table, and says so.
+constexpr PinnedCell kPinnedCells[] = {
+    {"canneal", Scheme::CC, "delta", 0xD82F3FBC5B3DD398ULL},
+    {"canneal", Scheme::CC, "sc2", 0xF0B31B1A9A92E674ULL},
+    {"canneal", Scheme::CNC, "delta", 0xEB83357AB8D1A2E6ULL},
+    {"canneal", Scheme::CNC, "sc2", 0xE95F7ABB0E97D1CEULL},
+    {"canneal", Scheme::DISCO, "delta", 0x89CC7E5D9A62DB2EULL},
+    {"canneal", Scheme::DISCO, "sc2", 0xB5F8492666FD362ULL},
+    {"x264", Scheme::CC, "delta", 0x9BE11676EB142ADAULL},
+    {"x264", Scheme::CC, "sc2", 0x74D41EAFDE3B1F9BULL},
+    {"x264", Scheme::CNC, "delta", 0x43F1AD04685EDACBULL},
+    {"x264", Scheme::CNC, "sc2", 0x4663CCB1D1CB546ULL},
+    {"x264", Scheme::DISCO, "delta", 0xCE4D023EAA7B5478ULL},
+    {"x264", Scheme::DISCO, "sc2", 0x86C305818C49B3D5ULL},
+};
+
+TEST(HotPathEquivalence, HealthyCellsMatchPinnedResultDigests) {
+  sim::RunOptions ropt;
+  ropt.warmup_ops_per_core = 2000;
+  ropt.warmup_cycles = 1000;
+  // Long enough that DISCO's arbitration sees confidence ties among more
+  // candidates than free engines, where the losers order decides.
+  ropt.measure_cycles = 8000;
+  for (const PinnedCell& pc : kPinnedCells) {
+    SystemConfig cfg;
+    cfg.scheme = pc.scheme;
+    cfg.algorithm = pc.algorithm;
+    const sim::CellResult r =
+        sim::run_cell(cfg, workload::profile_by_name(pc.workload), ropt);
+    std::ostringstream os;
+    sim::write_json(os, r);
+    const std::uint64_t got = fnv1a(os.str());
+    EXPECT_EQ(got, pc.digest) << pc.workload << "/" << to_string(pc.scheme)
+                              << "/" << pc.algorithm << ": 0x" << std::hex
+                              << got;
+  }
 }
 
 TEST(HotPathEquivalence, MidCellSnapshotResumeMatchesUninterruptedRun) {
