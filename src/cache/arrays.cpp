@@ -208,8 +208,20 @@ void L1Array::io(Self& s, Ar& ar) {
 void L1Array::serialize(snap::Writer& w) const { io(*this, w); }
 void L1Array::serialize(snap::Reader& r) { io(*this, r); }
 
+namespace {
+
+/// A restored directory entry may name only nodes of this mesh.
+void check_dir(const DirInfo& d, std::uint32_t nodes) {
+  if (nodes < 64 && (d.sharers >> nodes) != 0)
+    throw snap::SnapshotError("snapshot: directory sharer out of range");
+  if (d.owner >= nodes && d.owner != kInvalidNode)
+    throw snap::SnapshotError("snapshot: directory owner out of range");
+}
+
+}  // namespace
+
 template <class Self, class Ar>
-void SegmentedArray::io(Self& s, Ar& ar) {
+void SegmentedArray::io(Self& s, Ar& ar, std::uint32_t nodes) {
   ar.count(s.sets_, "snapshot: L2 array geometry mismatch");
   ar.count(s.ways_, "snapshot: L2 array geometry mismatch");
   ar.count(s.tag_factor_, "snapshot: L2 array geometry mismatch");
@@ -228,6 +240,7 @@ void SegmentedArray::io(Self& s, Ar& ar) {
       ar.en(line.dir.kind, DirInfo::Kind::Excl);
       ar.u64(line.dir.sharers);
       ar.u16(line.dir.owner);
+      if constexpr (Ar::kLoading) check_dir(line.dir, nodes);
     }
   }
   for (auto& u : s.used_segments_) ar.u32(u);
@@ -242,7 +255,11 @@ void SegmentedArray::io(Self& s, Ar& ar) {
   }
 }
 
-void SegmentedArray::serialize(snap::Writer& w) const { io(*this, w); }
-void SegmentedArray::serialize(snap::Reader& r) { io(*this, r); }
+void SegmentedArray::serialize(snap::Writer& w, std::uint32_t nodes) const {
+  io(*this, w, nodes);
+}
+void SegmentedArray::serialize(snap::Reader& r, std::uint32_t nodes) {
+  io(*this, r, nodes);
+}
 
 }  // namespace disco::cache

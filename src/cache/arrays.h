@@ -149,12 +149,13 @@ class SegmentedArray {
 
   /// Checkpoint/restore: geometry-checked; tag-slot positions are preserved
   /// (install picks the first free way, so slot order is architectural).
-  void serialize(snap::Writer& w) const;
-  void serialize(snap::Reader& r);
+  /// `nodes` bounds the directory owner and sharer bits a loaded line holds.
+  void serialize(snap::Writer& w, std::uint32_t nodes) const;
+  void serialize(snap::Reader& r, std::uint32_t nodes);
 
  private:
   template <class Self, class Ar>
-  static void io(Self& s, Ar& ar);
+  static void io(Self& s, Ar& ar, std::uint32_t nodes);
 
   std::vector<L2Line>& set_lines(std::size_t set) { return sets_storage_[set]; }
 

@@ -592,7 +592,7 @@ void L2Bank::warm_update(L2Line& line, const BlockBytes& data, bool dirty,
 
 template <class Self, class Ar, class Tab>
 void L2Bank::io(Self& s, Ar& ar, Tab& t) {
-  s.array_.serialize(ar);
+  s.array_.serialize(ar, t.nodes());
   s.out_.serialize(ar, t);
   ar.map(s.txns_, [&](auto& txn) {
     ar.en(txn.kind, Txn::Kind::Eviction);

@@ -624,7 +624,7 @@ void CmpSystem::save_snapshot(const std::string& path,
   // the table (closed under nack_ref) is spliced in after the fact, between
   // the metadata and the bodies: restore can then materialize every packet
   // first and resolve the bodies' references in a single pass.
-  noc::PacketTable table;
+  noc::PacketTable table(cfg_.noc.num_nodes());
   snap::Writer w;
   std::size_t meta_end = 0;
   io(*this, w, table, digest, measured_done, [&] { meta_end = w.size(); });
@@ -640,7 +640,7 @@ std::uint64_t CmpSystem::restore_snapshot(const std::string& path,
                                           std::uint64_t digest) {
   const std::vector<std::uint8_t> payload = snap::read_snapshot_file(path);
   snap::Reader r{std::span<const std::uint8_t>(payload)};
-  noc::PacketTable table;
+  noc::PacketTable table(cfg_.noc.num_nodes());
   std::uint64_t measured_done = 0;
   io(*this, r, table, digest, measured_done, [&] { table.load_table(r); });
   r.expect_end();

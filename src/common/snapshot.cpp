@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/crc32.h"
+
 namespace disco::snap {
 
 namespace {
@@ -18,16 +20,6 @@ constexpr std::array<char, 4> kMagic = {'D', 'S', 'N', 'P'};
 [[noreturn]] void fail(const std::string& what) { throw SnapshotError(what); }
 
 }  // namespace
-
-std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (const std::uint8_t byte : bytes) {
-    crc ^= byte;
-    for (int i = 0; i < 8; ++i)
-      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 void Writer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 

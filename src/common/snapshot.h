@@ -61,9 +61,6 @@ class SnapshotError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// IEEE CRC-32 (reflected, poly 0xEDB88320) over raw bytes.
-std::uint32_t crc32(std::span<const std::uint8_t> bytes);
-
 /// `T` as archive `Ar` sees it: const while saving, mutable while loading.
 /// Lets one free function template serve both archives for a value type.
 template <class Ar, class T>

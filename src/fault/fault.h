@@ -44,9 +44,6 @@ std::vector<HardFaultEvent> build_hard_fault_schedule(
 /// zero-extended so both modes fit the same 32-bit header field.
 std::uint32_t checksum(std::span<const std::uint8_t> bytes, CrcMode mode);
 
-/// IEEE CRC-32 (reflected, poly 0xEDB88320).
-std::uint32_t crc32(std::span<const std::uint8_t> bytes);
-
 /// 8-bit XOR fold: catches any single-bit flip, may miss multi-bit patterns.
 std::uint8_t fold8(std::span<const std::uint8_t> bytes);
 

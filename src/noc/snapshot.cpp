@@ -9,8 +9,8 @@ namespace {
 template <class Ar, class Tab>
 void serialize(Ar& ar, Tab& t, snap::Ref<Ar, Packet> p) {
   ar.u64(p.id);
-  ar.u16(p.src);
-  ar.u16(p.dst);
+  ar.index(p.src, t.nodes(), "snapshot: packet source node out of range");
+  ar.index(p.dst, t.nodes(), "snapshot: packet destination node out of range");
   ar.en(p.src_unit, UnitKind::MemCtrl);
   ar.en(p.dst_unit, UnitKind::MemCtrl);
   ar.en(p.vnet, VNet::Coherence);

@@ -9,7 +9,9 @@
 // PacketTable interns each distinct Packet* once; references serialize as a
 // u32 index (0 = null). On restore the table allocates every packet first
 // and then fills fields, so recursive references resolve in one pass and
-// shared ownership is reconstructed exactly.
+// shared ownership is reconstructed exactly. The table also carries the
+// mesh node count, the bound on the node ids of loaded packets and L2
+// directory entries.
 #pragma once
 
 #include <optional>
@@ -24,6 +26,11 @@ namespace disco::noc {
 
 class PacketTable {
  public:
+  explicit PacketTable(std::uint32_t nodes) : nodes_(nodes) {}
+
+  /// Node count of the mesh the snapshot belongs to.
+  std::uint32_t nodes() const { return nodes_; }
+
   /// Saving: intern `p` (registering it for the table) and write its u32
   /// reference.
   void ref(snap::Writer& w, const PacketPtr& p) { w.u32(intern(p)); }
@@ -39,6 +46,7 @@ class PacketTable {
 
  private:
   std::uint32_t intern(const PacketPtr& p);
+  std::uint32_t nodes_;
   std::unordered_map<const Packet*, std::uint32_t> index_;
   std::vector<PacketPtr> pkts_;
 };

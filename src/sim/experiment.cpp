@@ -10,6 +10,7 @@
 #include <sstream>
 #include <unistd.h>
 
+#include "common/crc32.h"
 #include "common/snapshot.h"
 
 namespace disco::sim {
@@ -23,7 +24,7 @@ std::uint64_t cell_digest(const SystemConfig& cfg,
      << opt.warmup_ops_per_core << '|' << opt.warmup_cycles << '|'
      << opt.measure_cycles;
   const std::string s = id.str();
-  return snap::crc32(std::span<const std::uint8_t>(
+  return crc32(std::span<const std::uint8_t>(
       reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
 }
 

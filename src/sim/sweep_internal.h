@@ -1,7 +1,7 @@
 // Internals shared between the sweep engine (sweep.cpp) and the sweep
 // driver (run_sweep in supervisor.cpp): the thread pool, the progress line,
 // exception rendering, cell preparation and outcome accounting. Not part of
-// the public sweep API; bench_perf includes it for resolve_threads.
+// the public sweep API.
 #pragma once
 
 #include <atomic>

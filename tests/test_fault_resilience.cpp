@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cmp/system.h"
+#include "common/crc32.h"
 #include "compress/registry.h"
 #include "fault/fault.h"
 #include "noc_test_util.h"
@@ -22,11 +23,11 @@ TEST(FaultChecksum, Crc32CatchesEverySingleBitFlip) {
   for (int trial = 0; trial < 50; ++trial) {
     BlockBytes b;
     for (auto& byte : b) byte = static_cast<std::uint8_t>(rng.next_u64());
-    const std::uint32_t ref = fault::crc32(std::span<const std::uint8_t>(b));
+    const std::uint32_t ref = crc32(std::span<const std::uint8_t>(b));
     for (std::size_t bit = 0; bit < kBlockBytes * 8; bit += 37) {
       BlockBytes mut = b;
       mut[bit / 8] ^= static_cast<std::uint8_t>(1U << (bit % 8));
-      EXPECT_NE(fault::crc32(std::span<const std::uint8_t>(mut)), ref);
+      EXPECT_NE(crc32(std::span<const std::uint8_t>(mut)), ref);
     }
   }
 }
@@ -44,7 +45,7 @@ TEST(FaultChecksum, Fold8CatchesSingleBitFlipsAndFitsTheHeaderField) {
   EXPECT_EQ(fault::checksum(std::span<const std::uint8_t>(b), CrcMode::Fold8),
             static_cast<std::uint32_t>(f));
   EXPECT_EQ(fault::checksum(std::span<const std::uint8_t>(b), CrcMode::Crc32),
-            fault::crc32(std::span<const std::uint8_t>(b)));
+            crc32(std::span<const std::uint8_t>(b)));
 }
 
 TEST(FaultInjector, DeterministicForAGivenSeed) {

@@ -194,7 +194,7 @@ TEST(IdleElision, RestoredRouterConsumesFlitsAndCreditsOnItsInputLinks) {
   ASSERT_TRUE(wires_busy()) << "no cycle had a flit and a credit in flight";
 
   snap::Writer body;
-  noc::PacketTable saved;
+  noc::PacketTable saved(16);
   a.serialize(body, saved);
   snap::Writer file;
   saved.save_table(file);
@@ -207,7 +207,7 @@ TEST(IdleElision, RestoredRouterConsumesFlitsAndCreditsOnItsInputLinks) {
   std::vector<CollectingSink> sinks_b(16);
   for (NodeId n = 0; n < 16; ++n) b.register_sink(n, UnitKind::Core, &sinks_b[n]);
   snap::Reader r{std::span<const std::uint8_t>(file.data())};
-  noc::PacketTable loaded;
+  noc::PacketTable loaded(16);
   loaded.load_table(r);
   b.serialize(r, loaded);
 

@@ -12,11 +12,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cmp/system.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/snapshot.h"
 #include "common/stats.h"
@@ -280,7 +282,7 @@ TEST(ComponentSnapshot, RouterVcOutPortOutOfRangeIsRejected) {
   const NocConfig cfg;
   noc::NocStats stats;
   noc::Router a(5, mesh, cfg, stats);
-  noc::PacketTable table;
+  noc::PacketTable table(mesh.num_nodes());
   snap::Writer w;
   a.serialize(w, table);
   // The first VC leads the body: u64 flit count, u8 stage, u8 out_port.
@@ -456,7 +458,7 @@ TEST(SystemSnapshot, PayloadBytesArePinned) {
     sys.functional_warmup(2000);
     sys.run(6000);
     const auto p = payload_of(sys, dir);
-    EXPECT_EQ(snap::crc32(p), 0x5975caafu);
+    EXPECT_EQ(crc32(p), 0x5975caafu);
     EXPECT_EQ(p.size(), std::size_t{4106504});
   }
   {
@@ -465,7 +467,7 @@ TEST(SystemSnapshot, PayloadBytesArePinned) {
     sys.run(12000);
     ASSERT_EQ(sys.hard_faults_applied(), 4u);
     const auto p = payload_of(sys, dir);
-    EXPECT_EQ(snap::crc32(p), 0x1a4df6e4u);
+    EXPECT_EQ(crc32(p), 0x1a4df6e4u);
     EXPECT_EQ(p.size(), std::size_t{4302769});
   }
 }
@@ -628,6 +630,90 @@ TEST(ChunkedRunCell, RejectedRestoreFallsBackToCleanRun) {
   EXPECT_EQ(resumed, 0u) << "a rejected restore must fall back to cycle 0";
   EXPECT_EQ(sim::wire::encode_result(clean), sim::wire::encode_result(r))
       << "the fallback run must not inherit partially restored state";
+}
+
+TEST(SystemSnapshot, OutOfRangeNodeIdsAreRejected) {
+  // Forged snapshots with a valid envelope and cell digest: a packet or a
+  // directory entry naming a node outside the 4x4 mesh would index past the
+  // per-node routers, NIs and L1s once restored, so the load must reject it.
+  ScratchDir dir("nodes");
+  const auto& profile = workload::profile_by_name("canneal");
+  const SystemConfig cfg = traced_config();
+  const auto nodes = static_cast<std::uint16_t>(cfg.noc.num_nodes());
+  const std::string path = dir.file("snap.bin");
+  cmp::CmpSystem sys(cfg, profile);
+  sys.functional_warmup(2000);
+  sys.run(6000);
+  sys.save_snapshot(path, 0, 0xC0FFEE);
+  const std::vector<std::uint8_t> good = snap::read_snapshot_file(path);
+  const auto restores = [&](const std::vector<std::uint8_t>& payload) {
+    snap::write_snapshot_file(path, payload);
+    cmp::CmpSystem fresh(cfg, profile);
+    try {
+      fresh.restore_snapshot(path, 0xC0FFEE);
+    } catch (const snap::SnapshotError&) {
+      return false;
+    }
+    return true;
+  };
+  ASSERT_TRUE(restores(good));
+
+  // A buffered packet's table record starts with id (u64), src, dst (u16).
+  const noc::Packet* pkt = nullptr;
+  for (NodeId n = 0; n < nodes && pkt == nullptr; ++n) {
+    const noc::Router& router = sys.network().router(n);
+    for (std::uint8_t p = 0; p < noc::kNumPorts && pkt == nullptr; ++p) {
+      for (std::uint8_t v = 0; v < cfg.noc.num_vcs() && pkt == nullptr; ++v) {
+        const auto& buf = router.vc({static_cast<noc::Port>(p), v}).buffer;
+        if (!buf.empty()) pkt = buf.front().pkt.get();
+      }
+    }
+  }
+  ASSERT_NE(pkt, nullptr) << "no packet in flight to forge";
+  snap::Writer rec;
+  rec.u64(pkt->id);
+  rec.u16(pkt->src);
+  rec.u16(pkt->dst);
+  const auto at = std::search(good.begin(), good.end(), rec.data().begin(),
+                              rec.data().end());
+  ASSERT_NE(at, good.end());
+  for (const std::size_t field : {std::size_t{8}, std::size_t{10}}) {
+    std::vector<std::uint8_t> forged = good;
+    const auto pos = static_cast<std::size_t>(at - good.begin()) + field;
+    forged[pos] = static_cast<std::uint8_t>(nodes);
+    forged[pos + 1] = 0;
+    EXPECT_FALSE(restores(forged)) << "packet node field at +" << field;
+  }
+
+  // A directory entry: edit one line of a copy of bank 0's array and
+  // splice the copy's body over the original's.
+  const cache::SegmentedArray& array = sys.l2(0).array();
+  snap::Writer body;
+  array.serialize(body, nodes);
+  const auto body_at = std::search(good.begin(), good.end(),
+                                   body.data().begin(), body.data().end());
+  ASSERT_NE(body_at, good.end());
+  cache::SegmentedArray scan = array;
+  const cache::L2Line* line = nullptr;
+  for (Addr a = 0; line == nullptr && a < 4096 * kBlockBytes; a += kBlockBytes)
+    line = scan.lru_victim(a, ~Addr{0});
+  ASSERT_NE(line, nullptr) << "bank 0 holds no valid line";
+  const Addr victim = line->addr;
+  const auto forged_dir = [&](const std::function<void(cache::DirInfo&)>& edit) {
+    cache::SegmentedArray copy = array;
+    edit(copy.lookup(victim)->dir);
+    snap::Writer w;
+    copy.serialize(w, nodes);
+    std::vector<std::uint8_t> forged = good;
+    std::copy(w.data().begin(), w.data().end(),
+              forged.begin() + (body_at - good.begin()));
+    return forged;
+  };
+  EXPECT_TRUE(restores(forged_dir([](cache::DirInfo& d) { d.owner = kInvalidNode; })));
+  EXPECT_FALSE(restores(forged_dir([&](cache::DirInfo& d) { d.owner = nodes; })));
+  EXPECT_FALSE(restores(forged_dir([&](cache::DirInfo& d) {
+    d.sharers |= std::uint64_t{1} << nodes;
+  })));
 }
 
 }  // namespace
