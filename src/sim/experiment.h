@@ -101,6 +101,110 @@ struct CellResult {
   std::string trace_text;
 };
 
+/// A field's key in visit_result. Every field travels on the wire; a key
+/// made with wire_only() is left out of the JSON export.
+struct FieldKey {
+  constexpr FieldKey(const char* n, bool in_json = true)  // NOLINT: implicit
+      : name(n), json(in_json) {}
+  const char* name;
+  bool json;
+};
+constexpr FieldKey wire_only(const char* name) { return {name, false}; }
+
+/// The one field list of CellResult, walked by every serializer: the wire
+/// Encoder and Decoder (wire.cpp) and the JSON writer (json_export.cpp).
+/// `R` is CellResult or const CellResult. The groups nest the way the JSON
+/// does; a gated group's flag is part of the walk, the wire carries the
+/// group whatever the flag, and the JSON skips a group whose flag is off.
+/// `derived` values are computed, so they reach the JSON only.
+template <class Ar, class R>
+void visit_result(Ar& ar, R& r) {
+  ar.str("workload", r.workload);
+  ar.str("algorithm", r.algorithm);
+  ar.scheme("scheme", r.scheme);
+  ar.u64("measured_cycles", r.measured_cycles);
+  ar.u64("core_ops", r.core_ops);
+  ar.u64("l1_misses", r.l1_misses);
+  ar.dbl("avg_nuca_latency", r.avg_nuca_latency);
+  ar.dbl("avg_miss_latency", r.avg_miss_latency);
+  ar.dbl("avg_dram_latency", r.avg_dram_latency);
+  ar.dbl("l2_miss_rate", r.l2_miss_rate);
+  ar.dbl("avg_packet_latency", r.avg_packet_latency);
+  ar.dbl("avg_stored_ratio", r.avg_stored_ratio);
+  ar.u64("link_flits", r.link_flits);
+  ar.u64("inflight_compressions", r.inflight_compressions);
+  ar.u64("inflight_decompressions", r.inflight_decompressions);
+  ar.u64("source_compressions", r.source_compressions);
+  ar.u64("compression_aborts", r.compression_aborts);
+  ar.u64("decompression_aborts", r.decompression_aborts);
+  ar.u64("hidden_decomp_ops", r.hidden_decomp_ops);
+  ar.u64(wire_only("exposed_decomp_cycles"), r.exposed_decomp_cycles);
+  auto& e = r.energy;
+  ar.group("energy", [&] {
+    ar.dbl("noc_dynamic_nj", e.noc_dynamic_nj);
+    ar.dbl("noc_leakage_nj", e.noc_leakage_nj);
+    ar.dbl("l2_dynamic_nj", e.l2_dynamic_nj);
+    ar.dbl("l2_leakage_nj", e.l2_leakage_nj);
+    ar.dbl("compressor_dynamic_nj", e.compressor_dynamic_nj);
+    ar.dbl("compressor_leakage_nj", e.compressor_leakage_nj);
+    ar.dbl("dram_nj", e.dram_nj);
+    ar.derived("subsystem_nj", e.subsystem_nj());
+  });
+  auto& f = r.fault;
+  ar.group("fault", f.enabled, [&] {
+    ar.u64("link_bit_flips", f.link_bit_flips);
+    ar.u64("llc_bit_flips", f.llc_bit_flips);
+    ar.u64("flit_drops", f.flit_drops);
+    ar.u64("flit_duplicates", f.flit_duplicates);
+    ar.u64("engine_stalls", f.engine_stalls);
+    ar.u64("engine_faults", f.engine_faults);
+    ar.u64("crc_checks", f.crc_checks);
+    ar.u64("corruptions_detected", f.corruptions_detected);
+    ar.u64("silent_corruptions", f.silent_corruptions);
+    ar.u64("flit_loss_timeouts", f.flit_loss_timeouts);
+    ar.u64("nacks_sent", f.nacks_sent);
+    ar.u64("retransmissions", f.retransmissions);
+    ar.u64("retransmit_deliveries", f.retransmit_deliveries);
+    ar.u64("backoff_cycles", f.backoff_cycles);
+    ar.u64("duplicate_flits_dropped", f.duplicate_flits_dropped);
+    ar.u64("duplicate_retransmissions", f.duplicate_retransmissions);
+    ar.u64("unrecovered_deliveries", f.unrecovered_deliveries);
+    ar.u64("engine_decode_errors", f.engine_decode_errors);
+    ar.u64("engines_quarantined", f.engines_quarantined);
+  });
+  // run_cell sets hard_enabled only in a cell that also has fault.enabled.
+  ar.group("hard_fault", f.hard_enabled, [&] {
+    ar.u64("applied", f.hard_faults_applied);
+    ar.u64("links_killed", f.links_killed);
+    ar.u64("routers_killed", f.routers_killed);
+    ar.u64("engines_hard_failed", f.engines_hard_failed);
+    ar.u64("banks_killed", f.banks_killed);
+    ar.u64("unreachable_drops", f.unreachable_drops);
+    ar.u64("dead_component_drops", f.dead_component_drops);
+    ar.u64("flits_destroyed", f.flits_destroyed);
+    ar.u64("severed_packets", f.severed_packets);
+    ar.u64("reroutes", f.reroutes);
+    ar.u64("bypass_retransmits", f.bypass_retransmits);
+    ar.u64("synth_completions", f.synth_completions);
+  });
+  auto& v = r.invariants;
+  ar.group("invariants", v.enabled, [&] {
+    ar.u64("events_checked", v.events_checked);
+    ar.u64("cycles_checked", v.cycles_checked);
+    ar.u64("violations", v.violations);
+    ar.u64("credit_violations", v.credit_violations);
+    ar.u64("conservation_violations", v.conservation_violations);
+    ar.u64("vc_state_violations", v.vc_state_violations);
+    ar.u64("shadow_violations", v.shadow_violations);
+    ar.u64("confidence_violations", v.confidence_violations);
+    ar.u64("eject_violations", v.eject_violations);
+    ar.u64("cache_violations", v.cache_violations);
+    ar.u64(wire_only("topology_violations"), v.topology_violations);
+    ar.str("first_violation", v.first_violation);
+  });
+  ar.str(wire_only("trace_text"), r.trace_text);
+}
+
 struct RunOptions {
   /// Functional (untimed) warmup: references replayed per core to populate
   /// caches, directory and backing store before the clock starts.

@@ -2,103 +2,73 @@
 
 #include <ostream>
 
+#include "sim/wire.h"
+
 namespace disco::sim {
 namespace {
 
-void write_fields(std::ostream& os, const CellResult& r) {
-  os << "{"
-     << "\"workload\":\"" << r.workload << "\","
-     << "\"algorithm\":\"" << r.algorithm << "\","
-     << "\"scheme\":\"" << to_string(r.scheme) << "\","
-     << "\"measured_cycles\":" << r.measured_cycles << ","
-     << "\"core_ops\":" << r.core_ops << ","
-     << "\"l1_misses\":" << r.l1_misses << ","
-     << "\"avg_nuca_latency\":" << r.avg_nuca_latency << ","
-     << "\"avg_miss_latency\":" << r.avg_miss_latency << ","
-     << "\"avg_dram_latency\":" << r.avg_dram_latency << ","
-     << "\"l2_miss_rate\":" << r.l2_miss_rate << ","
-     << "\"avg_packet_latency\":" << r.avg_packet_latency << ","
-     << "\"avg_stored_ratio\":" << r.avg_stored_ratio << ","
-     << "\"link_flits\":" << r.link_flits << ","
-     << "\"inflight_compressions\":" << r.inflight_compressions << ","
-     << "\"inflight_decompressions\":" << r.inflight_decompressions << ","
-     << "\"source_compressions\":" << r.source_compressions << ","
-     << "\"compression_aborts\":" << r.compression_aborts << ","
-     << "\"decompression_aborts\":" << r.decompression_aborts << ","
-     << "\"hidden_decomp_ops\":" << r.hidden_decomp_ops << ","
-     << "\"energy\":{"
-     << "\"noc_dynamic_nj\":" << r.energy.noc_dynamic_nj << ","
-     << "\"noc_leakage_nj\":" << r.energy.noc_leakage_nj << ","
-     << "\"l2_dynamic_nj\":" << r.energy.l2_dynamic_nj << ","
-     << "\"l2_leakage_nj\":" << r.energy.l2_leakage_nj << ","
-     << "\"compressor_dynamic_nj\":" << r.energy.compressor_dynamic_nj << ","
-     << "\"compressor_leakage_nj\":" << r.energy.compressor_leakage_nj << ","
-     << "\"dram_nj\":" << r.energy.dram_nj << ","
-     << "\"subsystem_nj\":" << r.energy.subsystem_nj() << "}";
-  // Gated so fault-free runs keep byte-identical output to older builds.
-  if (r.fault.enabled) {
-    const FaultSummary& f = r.fault;
-    os << ",\"fault\":{"
-       << "\"link_bit_flips\":" << f.link_bit_flips << ","
-       << "\"llc_bit_flips\":" << f.llc_bit_flips << ","
-       << "\"flit_drops\":" << f.flit_drops << ","
-       << "\"flit_duplicates\":" << f.flit_duplicates << ","
-       << "\"engine_stalls\":" << f.engine_stalls << ","
-       << "\"engine_faults\":" << f.engine_faults << ","
-       << "\"crc_checks\":" << f.crc_checks << ","
-       << "\"corruptions_detected\":" << f.corruptions_detected << ","
-       << "\"silent_corruptions\":" << f.silent_corruptions << ","
-       << "\"flit_loss_timeouts\":" << f.flit_loss_timeouts << ","
-       << "\"nacks_sent\":" << f.nacks_sent << ","
-       << "\"retransmissions\":" << f.retransmissions << ","
-       << "\"retransmit_deliveries\":" << f.retransmit_deliveries << ","
-       << "\"backoff_cycles\":" << f.backoff_cycles << ","
-       << "\"duplicate_flits_dropped\":" << f.duplicate_flits_dropped << ","
-       << "\"duplicate_retransmissions\":" << f.duplicate_retransmissions << ","
-       << "\"unrecovered_deliveries\":" << f.unrecovered_deliveries << ","
-       << "\"engine_decode_errors\":" << f.engine_decode_errors << ","
-       << "\"engines_quarantined\":" << f.engines_quarantined << "}";
-    // Nested gate: only cells run with a hard-fault schedule carry the
-    // degradation block, so soft-fault-only output stays byte-identical.
-    if (f.hard_enabled) {
-      os << ",\"hard_fault\":{"
-         << "\"applied\":" << f.hard_faults_applied << ","
-         << "\"links_killed\":" << f.links_killed << ","
-         << "\"routers_killed\":" << f.routers_killed << ","
-         << "\"engines_hard_failed\":" << f.engines_hard_failed << ","
-         << "\"banks_killed\":" << f.banks_killed << ","
-         << "\"unreachable_drops\":" << f.unreachable_drops << ","
-         << "\"dead_component_drops\":" << f.dead_component_drops << ","
-         << "\"flits_destroyed\":" << f.flits_destroyed << ","
-         << "\"severed_packets\":" << f.severed_packets << ","
-         << "\"reroutes\":" << f.reroutes << ","
-         << "\"bypass_retransmits\":" << f.bypass_retransmits << ","
-         << "\"synth_completions\":" << f.synth_completions << "}";
-    }
+/// The JSON export as a visit_result visitor: groups become nested objects,
+/// a gated group whose flag is off is skipped (so fault-free runs keep the
+/// output of older builds), wire_only fields are left out, and doubles print
+/// as the stream formats them.
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::ostream& os) : os_(os) {}
+
+  void str(FieldKey k, const std::string& v) {
+    if (!key(k)) return;
+    std::string quoted;
+    wire::append_json_string(quoted, v);
+    os_ << quoted;
   }
-  // Same gating rule: only runs with --check-invariants carry the object.
-  if (r.invariants.enabled) {
-    const trace::InvariantSummary& v = r.invariants;
-    os << ",\"invariants\":{"
-       << "\"events_checked\":" << v.events_checked << ","
-       << "\"cycles_checked\":" << v.cycles_checked << ","
-       << "\"violations\":" << v.violations << ","
-       << "\"credit_violations\":" << v.credit_violations << ","
-       << "\"conservation_violations\":" << v.conservation_violations << ","
-       << "\"vc_state_violations\":" << v.vc_state_violations << ","
-       << "\"shadow_violations\":" << v.shadow_violations << ","
-       << "\"confidence_violations\":" << v.confidence_violations << ","
-       << "\"eject_violations\":" << v.eject_violations << ","
-       << "\"cache_violations\":" << v.cache_violations << ","
-       << "\"first_violation\":\"" << v.first_violation << "\"}";
+  void u64(FieldKey k, std::uint64_t v) {
+    if (key(k)) os_ << v;
   }
-  os << "}";
+  void dbl(FieldKey k, double v) {
+    if (key(k)) os_ << v;
+  }
+  void derived(const char* name, double v) { dbl(name, v); }
+  void scheme(FieldKey k, Scheme v) {
+    if (key(k)) os_ << '"' << to_string(v) << '"';
+  }
+  template <class Body>
+  void group(const char* name, Body&& body) {
+    key(name);
+    os_ << '{';
+    first_ = true;
+    body();
+    os_ << '}';
+    first_ = false;
+  }
+  template <class Body>
+  void group(const char* name, bool on, Body&& body) {
+    if (on) group(name, body);
+  }
+
+ private:
+  bool key(FieldKey k) {
+    if (!k.json) return false;
+    if (!first_) os_ << ',';
+    first_ = false;
+    os_ << '"' << k.name << "\":";
+    return true;
+  }
+
+  std::ostream& os_;
+  bool first_ = true;
+};
+
+void write_object(std::ostream& os, const CellResult& r) {
+  os << '{';
+  JsonWriter w(os);
+  visit_result(w, r);
+  os << '}';
 }
 
 }  // namespace
 
 void write_json(std::ostream& os, const CellResult& result) {
-  write_fields(os, result);
+  write_object(os, result);
   os << "\n";
 }
 
@@ -106,7 +76,7 @@ void write_json(std::ostream& os, const std::vector<CellResult>& results) {
   os << "[\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     os << "  ";
-    write_fields(os, results[i]);
+    write_object(os, results[i]);
     if (i + 1 < results.size()) os << ",";
     os << "\n";
   }

@@ -22,6 +22,8 @@
 
 #include "cmp/system.h"
 #include "common/interrupt.h"
+#include "common/rng.h"
+#include "compress/decode_error.h"
 #include "sim/sweep_internal.h"
 #include "sim/wire.h"
 
@@ -59,17 +61,89 @@ const char* signal_name(int sig) {
 }
 
 // ---------------------------------------------------------------------------
-// Manifest encoding
+// Bookkeeping: cell preparation, outcomes, the checkpoint directory
 // ---------------------------------------------------------------------------
 
-CellStatus status_from_name(const std::string& s) {
-  for (const CellStatus c :
-       {CellStatus::Ok, CellStatus::Failed, CellStatus::TimedOut,
-        CellStatus::Skipped, CellStatus::Crashed, CellStatus::Interrupted,
-        CellStatus::ResourceExhausted}) {
-    if (s == to_string(c)) return c;
+/// Resolve groups / seeds / trace config / watchdog per cell, record
+/// skipped-by-shard cells in `res`, and append the runnable cell indices to
+/// `work` — everything order-dependent, done deterministically before any
+/// attempt runs.
+std::vector<SweepCell> prepare_cells(const std::vector<SweepCell>& cells,
+                                     const SweepOptions& opt, SweepResult& res,
+                                     std::vector<std::size_t>& work) {
+  res.cells.resize(cells.size());
+  std::vector<SweepCell> prepared(cells);
+  const unsigned shards = std::max(1u, opt.shard_count);
+  for (std::size_t i = 0; i < prepared.size(); ++i) {
+    SweepCell& c = prepared[i];
+    if (c.group == SweepCell::kAuto) c.group = i;
+    if (c.seed_group == SweepCell::kAuto) c.seed_group = c.group;
+    if (opt.reseed_cells)
+      c.cfg.seed = splitmix64(opt.base_seed,
+                              static_cast<std::uint64_t>(c.seed_group));
+    if (opt.trace.active()) {
+      c.cfg.trace = opt.trace;
+      if (!opt.trace.out_path.empty())
+        c.cfg.trace.out_path =
+            opt.trace.out_path + "-cell" + std::to_string(i) + ".json";
+    }
+    if (opt.progress_watchdog_cycles > 0)
+      c.cfg.progress_watchdog_cycles = opt.progress_watchdog_cycles;
+    res.cells[i].index = i;
+    res.cells[i].group = c.group;
+    if (c.group % shards == opt.shard_index % shards) {
+      work.push_back(i);
+    } else {
+      res.cells[i].status = CellStatus::Skipped;
+    }
   }
-  throw std::runtime_error("manifest: unknown cell status \"" + s + "\"");
+  return prepared;
+}
+
+/// Recompute completed/failed/crashed/skipped/interrupted from cell states.
+void tally_outcomes(SweepResult& res) {
+  res.completed = 0;
+  res.failed = 0;
+  res.crashed = 0;
+  res.skipped = 0;
+  for (const auto& c : res.cells) {
+    switch (c.status) {
+      case CellStatus::Ok: ++res.completed; break;
+      case CellStatus::Skipped: ++res.skipped; break;
+      case CellStatus::Interrupted: res.interrupted = true; break;
+      case CellStatus::Crashed:
+        ++res.crashed;
+        ++res.failed;
+        break;
+      case CellStatus::Failed:
+      case CellStatus::TimedOut:
+      case CellStatus::ResourceExhausted: ++res.failed; break;
+    }
+  }
+  if (interrupt_requested()) res.interrupted = true;
+}
+
+/// Render the in-flight exception — whatever its type — as one line. Must be
+/// called from inside a catch block. This is what keeps a cell that throws
+/// `42` or a C string a structured cell error instead of a terminate().
+std::string describe_current_exception() {
+  try {
+    throw;
+  } catch (const compress::DecodeError& e) {
+    return std::string("decode error: ") + e.what();
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (const char* s) {
+    return std::string("c-string exception: ") + s;
+  } catch (const std::string& s) {
+    return "string exception: " + s;
+  } catch (int v) {
+    return "int exception: " + std::to_string(v);
+  } catch (long v) {
+    return "long exception: " + std::to_string(v);
+  } catch (...) {
+    return "exception of unknown type";
+  }
 }
 
 std::string encode_header(std::size_t cells, const SweepOptions& opt) {
@@ -78,24 +152,6 @@ std::string encode_header(std::size_t cells, const SweepOptions& opt) {
          ",\"shard_index\":" + std::to_string(opt.shard_index) +
          ",\"shard_count\":" + std::to_string(std::max(1u, opt.shard_count)) +
          "}";
-}
-
-std::string encode_entry(const SweepCellOutcome& out) {
-  std::string line = "{\"cell\":" + std::to_string(out.index) +
-                     ",\"group\":" + std::to_string(out.group) +
-                     ",\"status\":";
-  wire::append_json_string(line, to_string(out.status));
-  line += ",\"attempts\":" + std::to_string(out.attempts);
-  if (out.snap_saved_cycles > 0)
-    line += ",\"snap_saved_cycles\":" + std::to_string(out.snap_saved_cycles);
-  line += ",\"error\":";
-  wire::append_json_string(line, out.error);
-  if (out.ok()) {
-    line += ",\"result\":";
-    line += wire::encode_result(out.result);
-  }
-  line += "}";
-  return line;
 }
 
 std::string snapshot_path_for(const std::string& dir, std::size_t cell) {
@@ -131,7 +187,6 @@ class CheckpointJournal {
   }
 
   bool active() const { return !path_.empty(); }
-  const std::string& path() const { return path_; }
 
   void append(std::string line) {
     if (!active()) return;
@@ -235,7 +290,7 @@ struct SweepState {
   void finalize(std::size_t w) {
     SweepCellOutcome& out = outcome(w);
     out.wall_ms = out.attempts > 0 ? ms_since(cell_start[w]) : 0.0;
-    journal.append(encode_entry(out));
+    journal.append(wire::encode_outcome(out));
     // An interrupted cell keeps its snapshot: the --resume rerun picks it up
     // mid-cell.
     if (out.status != CellStatus::Interrupted)
@@ -250,6 +305,25 @@ struct SweepState {
     done[w] = 1;
   }
 };
+
+/// One attempt at cell `out.index`, in-process or in a forked child: debug
+/// hook, run_cell, and any exception rendered into the outcome.
+void run_attempt(const SweepCell& cell, const SupervisorOptions& so,
+                 unsigned attempt, bool in_child, SweepCellOutcome& out) {
+  out.attempts = attempt;
+  out.error.clear();
+  try {
+    debug_fault_hook(so, out.index, attempt, in_child);
+    out.result = run_cell(cell.cfg, cell.profile, cell.opt);
+    out.status = CellStatus::Ok;
+  } catch (const cmp::CancelledError&) {
+    out.status = CellStatus::Interrupted;
+    out.error = "cell interrupted";
+  } catch (...) {
+    out.status = CellStatus::Failed;
+    out.error = describe_current_exception();
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Child side of --isolate
@@ -356,34 +430,27 @@ void write_all(int fd, const std::string& payload) {
       cell.opt.debug_kill_at = opt.supervisor.debug_kill_cycle;
   }
 
-  std::string payload;
-  int exit_code = 0;
-  try {
-    debug_fault_hook(opt.supervisor, index, attempt, /*in_child=*/true);
-    CellResult r = run_cell(cell.cfg, cell.profile, cell.opt);
-    if (auto_trace) r.trace_text.clear();
-    payload = wire::encode_result(r);
-    if (snapshotting) {
-      // Ride the result object: the parent journals how many cycles this
-      // attempt recovered from the snapshot instead of re-simulating.
-      payload.pop_back();  // '}'
-      payload +=
-          ",\"snapshot_resume_cycle\":" + std::to_string(resumed_cycles) + "}";
-    }
-  } catch (...) {
-    payload = "{\"error\":";
-    wire::append_json_string(payload, detail::describe_current_exception());
-    payload += "}";
-    exit_code = 3;
-  }
-  write_all(wfd, payload);
+  // The payload is this attempt's outcome in the manifest's own encoding;
+  // the parent decodes it and journals the same bytes.
+  SweepCellOutcome out;
+  out.index = index;
+  out.group = cell.group;
+  run_attempt(cell, opt.supervisor, attempt, /*in_child=*/true, out);
+  if (out.ok()) out.snap_saved_cycles = resumed_cycles;
+  if (auto_trace) out.result.trace_text.clear();
+  write_all(wfd, wire::encode_outcome(out));
   ::close(wfd);
-  std::_Exit(exit_code);
+  std::_Exit(0);
 }
 
 // ---------------------------------------------------------------------------
 // Parent side of --isolate: single-threaded poll() scheduler
 // ---------------------------------------------------------------------------
+
+/// Grace between a timed-out child's SIGTERM and its SIGKILL. The child's
+/// SIGTERM handler writes its postmortem and exits at once; the grace only
+/// bounds a handler that wedges.
+constexpr double kHangGraceMs = 2000;
 
 struct ChildProc {
   pid_t pid = -1;
@@ -521,9 +588,7 @@ class IsolatedScheduler {
     SweepCellOutcome& out = st_.outcome(c.windex);
     out.attempts = c.attempt;
     out.error.clear();
-    CellResult result;
-    std::uint64_t resumed_cycles = 0;
-    classify_exit(c, wstatus, out.status, out.error, result, resumed_cycles);
+    classify_exit(c, wstatus, out);
     std::uint64_t backoff = 0;
     if (st_.plan_retry(c.windex, backoff)) {
       pending_.push_back(
@@ -531,72 +596,62 @@ class IsolatedScheduler {
            Clock::now() + std::chrono::milliseconds(backoff)});
       return;
     }
-    if (out.status == CellStatus::Ok) {
-      out.result = std::move(result);
-      out.snap_saved_cycles = resumed_cycles;
-    }
     st_.finalize(c.windex);
   }
 
-  void classify_exit(const ChildProc& c, int wstatus, CellStatus& status,
-                     std::string& error, CellResult& result,
-                     std::uint64_t& resumed_cycles) const {
+  void classify_exit(const ChildProc& c, int wstatus,
+                     SweepCellOutcome& out) const {
     if (c.interrupt_sent) {
-      status = CellStatus::Interrupted;
-      error = "sweep interrupted";
+      out.status = CellStatus::Interrupted;
+      out.error = "sweep interrupted";
       return;
     }
     if (c.rss_killed) {
-      status = CellStatus::ResourceExhausted;
-      error = "child resident set " + std::to_string(c.rss_mb) +
-              "MiB exceeded the " + std::to_string(so_.max_rss_mb) +
-              "MiB --max-rss-mb cap (killed)";
+      out.status = CellStatus::ResourceExhausted;
+      out.error = "child resident set " + std::to_string(c.rss_mb) +
+                  "MiB exceeded the " + std::to_string(so_.max_rss_mb) +
+                  "MiB --max-rss-mb cap (killed)";
       return;
     }
     if (c.term_sent) {
-      status = CellStatus::TimedOut;
-      error = "cell exceeded " + std::to_string(opt_.cell_timeout_ms) +
-              "ms budget (child " + (c.killed ? "killed" : "terminated") + ")";
+      out.status = CellStatus::TimedOut;
+      out.error = "cell exceeded " + std::to_string(opt_.cell_timeout_ms) +
+                  "ms budget (child " + (c.killed ? "killed" : "terminated") +
+                  ")";
       return;
     }
     if (WIFSIGNALED(wstatus)) {
       const int sig = WTERMSIG(wstatus);
-      status = CellStatus::Crashed;
-      error = "child killed by signal " + std::to_string(sig) + " (" +
-              signal_name(sig) + ")";
+      out.status = CellStatus::Crashed;
+      out.error = "child killed by signal " + std::to_string(sig) + " (" +
+                  signal_name(sig) + ")";
       return;
     }
     const int code = WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
     if (code == 0) {
+      // The parent owns the cell's identity; the child reports its verdict.
       try {
-        const wire::Value v = wire::parse_object(c.buf);
-        result = wire::decode_result(v);
-        resumed_cycles = v.num_or("snapshot_resume_cycle", 0);
-        status = CellStatus::Ok;
+        SweepCellOutcome sent =
+            wire::decode_outcome(wire::parse_object(c.buf));
+        out.status = sent.status;
+        out.error = std::move(sent.error);
+        out.snap_saved_cycles = sent.snap_saved_cycles;
+        out.result = std::move(sent.result);
       } catch (const std::exception& e) {
-        status = CellStatus::Failed;
-        error = std::string("truncated result from child: ") + e.what();
-      }
-      return;
-    }
-    if (code == 3) {
-      status = CellStatus::Failed;
-      try {
-        error = wire::parse_object(c.buf).str_or("error", "unknown error");
-      } catch (const std::exception&) {
-        error = "child failed (unparseable error payload)";
+        out.status = CellStatus::Failed;
+        out.error = std::string("truncated outcome from child: ") + e.what();
       }
       return;
     }
     if (code == 124) {
       // The child acknowledged our SIGTERM (term_sent handled above, so this
       // is a stray 124 — treat it like a timeout ack all the same).
-      status = CellStatus::TimedOut;
-      error = "child acknowledged termination";
+      out.status = CellStatus::TimedOut;
+      out.error = "child acknowledged termination";
       return;
     }
-    status = CellStatus::Crashed;
-    error = "child exited with unexpected code " + std::to_string(code);
+    out.status = CellStatus::Crashed;
+    out.error = "child exited with unexpected code " + std::to_string(code);
   }
 
   /// Resident set of `pid` in MiB via /proc/<pid>/statm (Linux; returns 0
@@ -632,7 +687,7 @@ class IsolatedScheduler {
       }
       if (c.term_sent || c.interrupt_sent) {
         if (!c.killed &&
-            ms_since(c.term_at) > static_cast<double>(so_.hang_grace_ms)) {
+            ms_since(c.term_at) > kHangGraceMs) {
           ::kill(c.pid, SIGKILL);
           c.killed = true;
         }
@@ -681,31 +736,13 @@ class IsolatedScheduler {
 // In-process execution: the thread pool, no fork, no wall clock
 // ---------------------------------------------------------------------------
 
-/// One in-process attempt at work item `w`: debug hook, run_cell, classify.
-void run_attempt(SweepState& st, std::size_t w, unsigned attempt) {
-  SweepCellOutcome& out = st.outcome(w);
-  const SweepCell& cell = st.prepared[out.index];
-  out.attempts = attempt;
-  out.error.clear();
-  try {
-    debug_fault_hook(st.so, out.index, attempt, /*in_child=*/false);
-    out.result = run_cell(cell.cfg, cell.profile, cell.opt);
-    out.status = CellStatus::Ok;
-  } catch (const cmp::CancelledError&) {
-    out.status = CellStatus::Interrupted;
-    out.error = "cell interrupted";
-  } catch (...) {
-    out.status = CellStatus::Failed;
-    out.error = detail::describe_current_exception();
-  }
-}
-
 void run_in_process(SweepState& st) {
   detail::run_pool(st.work.size(), st.opt.threads, [&st](std::size_t w) {
     st.cell_start[w] = Clock::now();
     std::uint64_t backoff = 0;
     for (unsigned attempt = 1;; ++attempt) {
-      run_attempt(st, w, attempt);
+      run_attempt(st.prepared[st.work[w]], st.so, attempt,
+                  /*in_child=*/false, st.outcome(w));
       if (!st.plan_retry(w, backoff)) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
     }
@@ -750,22 +787,11 @@ Manifest load_manifest(const std::string& path) {
       continue;
     }
     // Per-entry fault containment: a bit-flipped or truncated-but-parseable
-    // entry (unknown status name, wrong field kind, missing result field)
-    // is dropped — that one cell reruns — instead of failing the resume.
+    // entry (unknown status name, wrong field kind, missing field — or a
+    // line from a build with another field list) is dropped, and that one
+    // cell reruns, instead of failing the resume.
     try {
-      ManifestEntry e;
-      e.cell = v.num_or("cell", 0);
-      e.group = v.num_or("group", 0);
-      e.status = status_from_name(v.str_or("status", "failed"));
-      e.attempts = static_cast<unsigned>(v.num_or("attempts", 0));
-      e.snap_saved_cycles = v.num_or("snap_saved_cycles", 0);
-      e.error = v.str_or("error", "");
-      if (const wire::Value* r = v.find("result")) {
-        e.result = wire::decode_result(*r);
-        e.has_result = true;
-      }
-      e.line = line;
-      m.entries.push_back(std::move(e));
+      m.entries.push_back(wire::decode_outcome(v));
     } catch (const std::exception&) {
       continue;
     }
@@ -785,8 +811,7 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
   const auto t0 = Clock::now();
   SweepResult res;
   std::vector<std::size_t> work;
-  const std::vector<SweepCell> prepared =
-      detail::prepare_cells(cells, opt, res, work);
+  const std::vector<SweepCell> prepared = prepare_cells(cells, opt, res, work);
 
   // Resume: adopt the prior run's Ok cells verbatim; everything else reruns.
   std::vector<std::string> carried;
@@ -805,17 +830,13 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
           std::to_string(opt.shard_index % shards) + "/" +
           std::to_string(shards) + ")");
     }
-    for (ManifestEntry& e : m.entries) {
-      if (e.status != CellStatus::Ok || !e.has_result) continue;
-      if (e.cell >= res.cells.size()) continue;
-      SweepCellOutcome& out = res.cells[e.cell];
-      out.status = CellStatus::Ok;
-      out.attempts = e.attempts;
-      out.snap_saved_cycles = e.snap_saved_cycles;
-      out.error = e.error;
-      out.result = std::move(e.result);
-      carried.push_back(std::move(e.line));
-      work.erase(std::remove(work.begin(), work.end(), e.cell), work.end());
+    // An adopted line is re-journaled as encode_outcome writes it, which is
+    // the line itself: the encoding round-trips exactly.
+    for (SweepCellOutcome& e : m.entries) {
+      if (!e.ok() || e.index >= res.cells.size()) continue;
+      carried.push_back(wire::encode_outcome(e));
+      work.erase(std::remove(work.begin(), work.end(), e.index), work.end());
+      res.cells[e.index] = std::move(e);
     }
   }
 
@@ -855,7 +876,7 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
     }
     st.finalize(w);
   }
-  detail::tally_outcomes(res);
+  tally_outcomes(res);
   res.wall_ms = ms_since(t0);
   return res;
 }

@@ -9,9 +9,7 @@
 #include <thread>
 
 #include "common/interrupt.h"
-#include "common/rng.h"
 #include "fault/fault.h"
-#include "compress/decode_error.h"
 #include "sim/sweep_internal.h"
 #include "trace/trace.h"
 
@@ -46,82 +44,6 @@ void run_pool(std::size_t count, unsigned threads,
   for (auto& th : pool) th.join();
 }
 
-std::string describe_current_exception() {
-  try {
-    throw;
-  } catch (const compress::DecodeError& e) {
-    return std::string("decode error: ") + e.what();
-  } catch (const cmp::NoProgressError& e) {
-    return e.what();
-  } catch (const std::exception& e) {
-    return e.what();
-  } catch (const char* s) {
-    return std::string("c-string exception: ") + s;
-  } catch (const std::string& s) {
-    return "string exception: " + s;
-  } catch (int v) {
-    return "int exception: " + std::to_string(v);
-  } catch (long v) {
-    return "long exception: " + std::to_string(v);
-  } catch (...) {
-    return "exception of unknown type";
-  }
-}
-
-std::vector<SweepCell> prepare_cells(const std::vector<SweepCell>& cells,
-                                     const SweepOptions& opt, SweepResult& res,
-                                     std::vector<std::size_t>& work) {
-  res.cells.resize(cells.size());
-  std::vector<SweepCell> prepared(cells);
-  const unsigned shards = std::max(1u, opt.shard_count);
-  for (std::size_t i = 0; i < prepared.size(); ++i) {
-    SweepCell& c = prepared[i];
-    if (c.group == SweepCell::kAuto) c.group = i;
-    if (c.seed_group == SweepCell::kAuto) c.seed_group = c.group;
-    if (opt.reseed_cells)
-      c.cfg.seed = splitmix64(opt.base_seed,
-                              static_cast<std::uint64_t>(c.seed_group));
-    if (opt.trace.active()) {
-      c.cfg.trace = opt.trace;
-      if (!opt.trace.out_path.empty())
-        c.cfg.trace.out_path =
-            opt.trace.out_path + "-cell" + std::to_string(i) + ".json";
-    }
-    if (opt.progress_watchdog_cycles > 0)
-      c.cfg.progress_watchdog_cycles = opt.progress_watchdog_cycles;
-    res.cells[i].index = i;
-    res.cells[i].group = c.group;
-    if (c.group % shards == opt.shard_index % shards) {
-      work.push_back(i);
-    } else {
-      res.cells[i].status = CellStatus::Skipped;
-    }
-  }
-  return prepared;
-}
-
-void tally_outcomes(SweepResult& res) {
-  res.completed = 0;
-  res.failed = 0;
-  res.crashed = 0;
-  res.skipped = 0;
-  for (const auto& c : res.cells) {
-    switch (c.status) {
-      case CellStatus::Ok: ++res.completed; break;
-      case CellStatus::Skipped: ++res.skipped; break;
-      case CellStatus::Interrupted: res.interrupted = true; break;
-      case CellStatus::Crashed:
-        ++res.crashed;
-        ++res.failed;
-        break;
-      case CellStatus::Failed:
-      case CellStatus::TimedOut:
-      case CellStatus::ResourceExhausted: ++res.failed; break;
-    }
-  }
-  if (interrupt_requested()) res.interrupted = true;
-}
-
 }  // namespace detail
 
 namespace {
@@ -151,8 +73,6 @@ namespace {
                "                       (default 1)\n"
                "  --retry-backoff-ms B backoff before retry r is B << (r-1),\n"
                "                       saturating (default 100)\n"
-               "  --hang-grace-ms G    grace between SIGTERM and SIGKILL for a\n"
-               "                       timed-out child (default 2000)\n"
                "  --snapshot-interval-cycles N\n"
                "                       (with --isolate --checkpoint-dir) each\n"
                "                       worker snapshots its full simulation\n"
@@ -313,8 +233,6 @@ SweepOptions parse_sweep_flags(int argc, char** argv,
       so.max_retries = static_cast<unsigned>(num(arg, value(), UINT_MAX - 1));
     } else if (arg == "--retry-backoff-ms") {
       so.retry_backoff_ms = u64(arg, value());
-    } else if (arg == "--hang-grace-ms") {
-      so.hang_grace_ms = u64(arg, value());
     } else if (arg == "--snapshot-interval-cycles") {
       so.snapshot_interval_cycles = u64(arg, value());
     } else if (arg == "--max-rss-mb") {

@@ -50,8 +50,6 @@ struct SupervisorOptions {
   unsigned max_retries = 1;
   /// Delay before retry r is retry_backoff_ms << (r - 1), saturating.
   std::uint64_t retry_backoff_ms = 100;
-  /// Isolated mode: grace between a timed-out child's SIGTERM and SIGKILL.
-  std::uint64_t hang_grace_ms = 2000;
 
   // --- mid-cell checkpointing ------------------------------------------
   /// When > 0 (and checkpoint_dir is set, isolated mode), each forked

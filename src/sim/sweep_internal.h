@@ -1,7 +1,6 @@
 // Internals shared between the sweep engine (sweep.cpp) and the sweep
-// driver (run_sweep in supervisor.cpp): the thread pool, the progress line,
-// exception rendering, cell preparation and outcome accounting. Not part of
-// the public sweep API.
+// driver (run_sweep in supervisor.cpp): the thread pool and the progress
+// line. Not part of the public sweep API.
 #pragma once
 
 #include <atomic>
@@ -10,7 +9,6 @@
 #include <functional>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "sim/sweep.h"
 
@@ -69,21 +67,5 @@ class ProgressMeter {
 /// tasks once the process interrupt flag is raised.
 void run_pool(std::size_t count, unsigned threads,
               const std::function<void(std::size_t)>& task);
-
-/// Render the in-flight exception — whatever its type — as one line. Must be
-/// called from inside a catch block. This is what keeps a cell that throws
-/// `42` or a C string a structured CellResult error instead of a terminate().
-std::string describe_current_exception();
-
-/// Resolve groups / seeds / trace config / watchdog per cell, record
-/// skipped-by-shard cells in `res`, and append the runnable cell indices to
-/// `work` — everything order-dependent, done deterministically before any
-/// worker runs.
-std::vector<SweepCell> prepare_cells(const std::vector<SweepCell>& cells,
-                                     const SweepOptions& opt, SweepResult& res,
-                                     std::vector<std::size_t>& work);
-
-/// Recompute completed/failed/crashed/skipped/interrupted from cell states.
-void tally_outcomes(SweepResult& res);
 
 }  // namespace disco::sim::detail

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 namespace disco::sim::wire {
@@ -136,143 +137,132 @@ struct Scanner {
   }
 };
 
-// --- CellResult field walk --------------------------------------------------
+// --- visitors ----------------------------------------------------------------
 
-/// One canonical enumeration of every CellResult field, shared by the
-/// encoder and the decoder so they can never drift apart.
-template <class F>
-void visit_result(CellResult& r, F&& f) {
-  f.str("workload", r.workload);
-  f.str("algorithm", r.algorithm);
-  std::uint64_t scheme = static_cast<std::uint64_t>(r.scheme);
-  f.u64("scheme", scheme);
-  if (scheme > static_cast<std::uint64_t>(Scheme::Ideal))
-    fail("scheme value out of range");
-  r.scheme = static_cast<Scheme>(scheme);
-  f.u64("measured_cycles", r.measured_cycles);
-  f.u64("core_ops", r.core_ops);
-  f.u64("l1_misses", r.l1_misses);
-  f.dbl("avg_nuca_latency", r.avg_nuca_latency);
-  f.dbl("avg_miss_latency", r.avg_miss_latency);
-  f.dbl("avg_dram_latency", r.avg_dram_latency);
-  f.dbl("l2_miss_rate", r.l2_miss_rate);
-  f.dbl("avg_packet_latency", r.avg_packet_latency);
-  f.dbl("avg_stored_ratio", r.avg_stored_ratio);
-  f.u64("link_flits", r.link_flits);
-  f.u64("inflight_compressions", r.inflight_compressions);
-  f.u64("inflight_decompressions", r.inflight_decompressions);
-  f.u64("source_compressions", r.source_compressions);
-  f.u64("compression_aborts", r.compression_aborts);
-  f.u64("decompression_aborts", r.decompression_aborts);
-  f.u64("hidden_decomp_ops", r.hidden_decomp_ops);
-  f.u64("exposed_decomp_cycles", r.exposed_decomp_cycles);
-  f.dbl("energy.noc_dynamic_nj", r.energy.noc_dynamic_nj);
-  f.dbl("energy.noc_leakage_nj", r.energy.noc_leakage_nj);
-  f.dbl("energy.l2_dynamic_nj", r.energy.l2_dynamic_nj);
-  f.dbl("energy.l2_leakage_nj", r.energy.l2_leakage_nj);
-  f.dbl("energy.compressor_dynamic_nj", r.energy.compressor_dynamic_nj);
-  f.dbl("energy.compressor_leakage_nj", r.energy.compressor_leakage_nj);
-  f.dbl("energy.dram_nj", r.energy.dram_nj);
-  f.boolean("fault.enabled", r.fault.enabled);
-  f.u64("fault.link_bit_flips", r.fault.link_bit_flips);
-  f.u64("fault.llc_bit_flips", r.fault.llc_bit_flips);
-  f.u64("fault.flit_drops", r.fault.flit_drops);
-  f.u64("fault.flit_duplicates", r.fault.flit_duplicates);
-  f.u64("fault.engine_stalls", r.fault.engine_stalls);
-  f.u64("fault.engine_faults", r.fault.engine_faults);
-  f.u64("fault.crc_checks", r.fault.crc_checks);
-  f.u64("fault.corruptions_detected", r.fault.corruptions_detected);
-  f.u64("fault.silent_corruptions", r.fault.silent_corruptions);
-  f.u64("fault.flit_loss_timeouts", r.fault.flit_loss_timeouts);
-  f.u64("fault.nacks_sent", r.fault.nacks_sent);
-  f.u64("fault.retransmissions", r.fault.retransmissions);
-  f.u64("fault.retransmit_deliveries", r.fault.retransmit_deliveries);
-  f.u64("fault.backoff_cycles", r.fault.backoff_cycles);
-  f.u64("fault.duplicate_flits_dropped", r.fault.duplicate_flits_dropped);
-  f.u64("fault.duplicate_retransmissions", r.fault.duplicate_retransmissions);
-  f.u64("fault.unrecovered_deliveries", r.fault.unrecovered_deliveries);
-  f.u64("fault.engine_decode_errors", r.fault.engine_decode_errors);
-  f.u64("fault.engines_quarantined", r.fault.engines_quarantined);
-  f.boolean("fault.hard_enabled", r.fault.hard_enabled);
-  f.u64("fault.hard_faults_applied", r.fault.hard_faults_applied);
-  f.u64("fault.links_killed", r.fault.links_killed);
-  f.u64("fault.routers_killed", r.fault.routers_killed);
-  f.u64("fault.engines_hard_failed", r.fault.engines_hard_failed);
-  f.u64("fault.banks_killed", r.fault.banks_killed);
-  f.u64("fault.unreachable_drops", r.fault.unreachable_drops);
-  f.u64("fault.dead_component_drops", r.fault.dead_component_drops);
-  f.u64("fault.flits_destroyed", r.fault.flits_destroyed);
-  f.u64("fault.severed_packets", r.fault.severed_packets);
-  f.u64("fault.reroutes", r.fault.reroutes);
-  f.u64("fault.bypass_retransmits", r.fault.bypass_retransmits);
-  f.u64("fault.synth_completions", r.fault.synth_completions);
-  f.boolean("invariants.enabled", r.invariants.enabled);
-  f.u64("invariants.events_checked", r.invariants.events_checked);
-  f.u64("invariants.cycles_checked", r.invariants.cycles_checked);
-  f.u64("invariants.violations", r.invariants.violations);
-  f.u64("invariants.credit_violations", r.invariants.credit_violations);
-  f.u64("invariants.conservation_violations",
-        r.invariants.conservation_violations);
-  f.u64("invariants.vc_state_violations", r.invariants.vc_state_violations);
-  f.u64("invariants.shadow_violations", r.invariants.shadow_violations);
-  f.u64("invariants.confidence_violations", r.invariants.confidence_violations);
-  f.u64("invariants.eject_violations", r.invariants.eject_violations);
-  f.u64("invariants.cache_violations", r.invariants.cache_violations);
-  f.str("invariants.first_violation", r.invariants.first_violation);
-  f.str("trace_text", r.trace_text);
+CellStatus status_from_name(const std::string& s) {
+  for (const CellStatus c :
+       {CellStatus::Ok, CellStatus::Failed, CellStatus::TimedOut,
+        CellStatus::Skipped, CellStatus::Crashed, CellStatus::Interrupted,
+        CellStatus::ResourceExhausted}) {
+    if (s == to_string(c)) return c;
+  }
+  fail("unknown cell status \"" + s + "\"");
 }
 
+/// The one field list of a cell outcome (the manifest line and the child's
+/// pipe payload). Status comes before the result it gates.
+template <class Ar, class O>
+void visit_outcome(Ar& ar, O& o) {
+  ar.u64("cell", o.index);
+  ar.u64("group", o.group);
+  ar.status("status", o.status);
+  ar.u64("attempts", o.attempts);
+  ar.u64("snap_saved_cycles", o.snap_saved_cycles);
+  ar.str("error", o.error);
+  if (o.ok()) ar.result("result", o.result);
+}
+
+/// Writes one flat object; a group's fields are keyed "<group>.<field>" and
+/// a gated group also carries its flag as "<group>.enabled".
 struct Encoder {
   std::string out;
-  bool first = true;
+  const char* group_name = nullptr;
 
-  void key(const char* name) {
-    out.push_back(first ? '{' : ',');
-    first = false;
-    append_json_string(out, name);
-    out.push_back(':');
+  void key(FieldKey k) {
+    out.push_back(out.empty() ? '{' : ',');
+    out.push_back('"');
+    if (group_name != nullptr) {
+      out += group_name;
+      out.push_back('.');
+    }
+    out += k.name;
+    out += "\":";
   }
-  void str(const char* name, const std::string& v) {
-    key(name);
+  void str(FieldKey k, const std::string& v) {
+    key(k);
     append_json_string(out, v);
   }
-  void u64(const char* name, const std::uint64_t& v) {
-    key(name);
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-    out += buf;
+  void u64(FieldKey k, std::uint64_t v) {
+    key(k);
+    out += std::to_string(v);
   }
-  void dbl(const char* name, const double& v) {
+  void dbl(FieldKey k, double v) {
     // Bit pattern, not decimal text: exact round trip by construction.
-    const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
-    u64(name, bits);
+    u64(k, std::bit_cast<std::uint64_t>(v));
   }
-  void boolean(const char* name, const bool& v) {
-    const std::uint64_t b = v ? 1 : 0;
-    u64(name, b);
+  void derived(const char*, double) {}
+  void scheme(FieldKey k, Scheme v) { u64(k, static_cast<std::uint64_t>(v)); }
+  void status(FieldKey k, CellStatus v) { str(k, to_string(v)); }
+  void result(FieldKey k, const CellResult& r) {
+    key(k);
+    out += encode_result(r);
+  }
+  template <class Body>
+  void group(const char* name, Body&& body) {
+    group_name = name;
+    body();
+    group_name = nullptr;
+  }
+  template <class Body>
+  void group(const char* name, bool on, Body&& body) {
+    group(name, [&] {
+      u64("enabled", on);
+      body();
+    });
   }
 };
 
 struct Decoder {
   const Value& obj;
+  const char* group_name = nullptr;
 
-  const Value& get(const char* name, Value::Kind kind) const {
+  const Value& get(FieldKey k, Value::Kind kind) const {
+    const std::string name = group_name == nullptr
+                                 ? std::string(k.name)
+                                 : std::string(group_name) + "." + k.name;
     const Value* v = obj.find(name);
-    if (v == nullptr) fail(std::string("missing field ") + name);
-    if (v->kind != kind) fail(std::string("wrong kind for field ") + name);
+    if (v == nullptr) fail("missing field " + name);
+    if (v->kind != kind) fail("wrong kind for field " + name);
     return *v;
   }
-  void str(const char* name, std::string& v) const {
-    v = get(name, Value::Kind::Str).str;
+  void str(FieldKey k, std::string& v) const {
+    v = get(k, Value::Kind::Str).str;
   }
-  void u64(const char* name, std::uint64_t& v) const {
-    v = get(name, Value::Kind::Num).num;
+  template <class T>
+  void u64(FieldKey k, T& v) const {
+    const std::uint64_t n = get(k, Value::Kind::Num).num;
+    if (n > std::numeric_limits<T>::max())
+      fail(std::string("value out of range for field ") + k.name);
+    v = static_cast<T>(n);
   }
-  void dbl(const char* name, double& v) const {
-    v = std::bit_cast<double>(get(name, Value::Kind::Num).num);
+  void dbl(FieldKey k, double& v) const {
+    v = std::bit_cast<double>(get(k, Value::Kind::Num).num);
   }
-  void boolean(const char* name, bool& v) const {
-    v = get(name, Value::Kind::Num).num != 0;
+  void derived(const char*, double) const {}
+  void scheme(FieldKey k, Scheme& v) const {
+    const std::uint64_t n = get(k, Value::Kind::Num).num;
+    if (n > static_cast<std::uint64_t>(Scheme::Ideal))
+      fail("scheme value out of range");
+    v = static_cast<Scheme>(n);
+  }
+  void status(FieldKey k, CellStatus& v) const {
+    v = status_from_name(get(k, Value::Kind::Str).str);
+  }
+  void result(FieldKey k, CellResult& r) const {
+    r = decode_result(get(k, Value::Kind::Obj));
+  }
+  template <class Body>
+  void group(const char* name, Body&& body) {
+    group_name = name;
+    body();
+    group_name = nullptr;
+  }
+  template <class Body>
+  void group(const char* name, bool& on, Body&& body) {
+    group(name, [&] {
+      on = get("enabled", Value::Kind::Num).num != 0;
+      body();
+    });
   }
 };
 
@@ -288,11 +278,6 @@ const Value* Value::find(std::string_view key) const {
 std::uint64_t Value::num_or(std::string_view key, std::uint64_t dflt) const {
   const Value* v = find(key);
   return v != nullptr && v->kind == Kind::Num ? v->num : dflt;
-}
-
-std::string Value::str_or(std::string_view key, std::string_view dflt) const {
-  const Value* v = find(key);
-  return v != nullptr && v->kind == Kind::Str ? v->str : std::string(dflt);
 }
 
 Value parse_object(std::string_view text) {
@@ -328,9 +313,8 @@ void append_json_string(std::string& out, std::string_view s) {
 }
 
 std::string encode_result(const CellResult& r) {
-  CellResult copy = r;
   Encoder enc;
-  visit_result(copy, enc);
+  visit_result(enc, r);
   enc.out.push_back('}');
   return enc.out;
 }
@@ -338,8 +322,24 @@ std::string encode_result(const CellResult& r) {
 CellResult decode_result(const Value& obj) {
   if (obj.kind != Value::Kind::Obj) fail("result is not an object");
   CellResult r;
-  visit_result(r, Decoder{obj});
+  Decoder dec{obj};
+  visit_result(dec, r);
   return r;
+}
+
+std::string encode_outcome(const SweepCellOutcome& out) {
+  Encoder enc;
+  visit_outcome(enc, out);
+  enc.out.push_back('}');
+  return enc.out;
+}
+
+SweepCellOutcome decode_outcome(const Value& obj) {
+  if (obj.kind != Value::Kind::Obj) fail("outcome is not an object");
+  SweepCellOutcome out;
+  Decoder dec{obj};
+  visit_outcome(dec, out);
+  return out;
 }
 
 }  // namespace disco::sim::wire

@@ -1,10 +1,11 @@
-// Lossless wire format for CellResult: the supervisor's forked workers send
-// results back over a pipe as one JSON object, and the checkpoint manifest
-// journals the same encoding, so a resumed sweep reconstructs bit-identical
-// results (doubles travel as their IEEE-754 bit patterns, never as decimal
-// text). Includes the minimal JSON value parser the supervisor needs for
-// pipe payloads and manifest lines — flat objects of unsigned numbers,
-// strings and nested objects; nothing else is ever emitted.
+// Lossless wire format for cell results. A forked worker sends its cell
+// outcome back over a pipe as one JSON object, and the checkpoint manifest
+// journals the very same object per finished cell, so a resumed sweep
+// reconstructs bit-identical results (doubles travel as their IEEE-754 bit
+// patterns, never as decimal text). The CellResult fields come from the
+// shared visit_result walk (experiment.h). Includes the minimal JSON value
+// parser the supervisor needs for pipe payloads and manifest lines — objects
+// of unsigned numbers, strings and nested objects; nothing else is emitted.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +14,7 @@
 #include <utility>
 #include <vector>
 
-#include "sim/experiment.h"
+#include "sim/sweep.h"
 
 namespace disco::sim::wire {
 
@@ -28,7 +29,6 @@ struct Value {
   /// Member lookup; null when absent or not an object.
   const Value* find(std::string_view key) const;
   std::uint64_t num_or(std::string_view key, std::uint64_t dflt) const;
-  std::string str_or(std::string_view key, std::string_view dflt) const;
 };
 
 /// Parse one JSON object (as produced by this module). Throws
@@ -46,5 +46,16 @@ std::string encode_result(const CellResult& r);
 /// Rebuild a result from its wire object. Throws std::runtime_error when a
 /// required field is missing or of the wrong kind.
 CellResult decode_result(const Value& obj);
+
+/// Encode a cell outcome as one JSON object: the checkpoint-manifest line
+/// and, byte for byte, the payload a forked child writes to its pipe. The
+/// result rides along (as encode_result) only when the outcome is Ok;
+/// wall_ms stays behind.
+std::string encode_outcome(const SweepCellOutcome& out);
+
+/// Rebuild an outcome from its object. Throws std::runtime_error on a
+/// missing or ill-kinded field, an unknown status name, or an Ok outcome
+/// without its result.
+SweepCellOutcome decode_outcome(const Value& obj);
 
 }  // namespace disco::sim::wire

@@ -128,7 +128,9 @@ TEST(WireFormat, RoundTripIsBitExact) {
   r.fault.enabled = true;
   r.fault.crc_checks = 42;
   r.invariants.enabled = true;
+  r.invariants.topology_violations = 5;
   r.invariants.first_violation = "cycle 7: credit pool underflow";
+  r.exposed_decomp_cycles = 9876;
   r.trace_text = "line1\nline2\n";
 
   const std::string encoded = wire::encode_result(r);
@@ -145,10 +147,50 @@ TEST(WireFormat, RoundTripIsBitExact) {
             std::bit_cast<std::uint64_t>(r.energy.dram_nj));
   EXPECT_TRUE(d.fault.enabled);
   EXPECT_EQ(d.fault.crc_checks, 42u);
+  EXPECT_EQ(d.invariants.topology_violations, 5u);
   EXPECT_EQ(d.invariants.first_violation, r.invariants.first_violation);
+  EXPECT_EQ(d.exposed_decomp_cycles, 9876u);
   EXPECT_EQ(d.trace_text, r.trace_text);
   // Re-encoding the decoded result reproduces the exact bytes.
   EXPECT_EQ(wire::encode_result(d), encoded);
+}
+
+// A forked child writes encode_outcome of its attempt to the pipe; the
+// parent decodes it and journals encode_outcome of what it decoded. Both
+// kinds of attempt (an Ok one that resumed from a snapshot, a failed one)
+// must come out as the same bytes, so the pipe payload is the manifest line.
+TEST(WireFormat, PipePayloadIsTheManifestLine) {
+  SweepCellOutcome ok;
+  ok.index = 3;
+  ok.group = 1;
+  ok.status = CellStatus::Ok;
+  ok.attempts = 2;
+  ok.wall_ms = 12.5;  // measured by the parent, never sent
+  ok.snap_saved_cycles = 4000;
+  ok.result.workload = "canneal";
+  ok.result.avg_nuca_latency = 0.1 + 0.2;
+  ok.result.invariants.topology_violations = 5;
+  SweepCellOutcome failed;
+  failed.index = 4;
+  failed.status = CellStatus::Failed;
+  failed.attempts = 1;
+  failed.error = "int exception: 42";
+  for (const SweepCellOutcome& sent : {ok, failed}) {
+    const std::string payload = wire::encode_outcome(sent);
+    const SweepCellOutcome journaled =
+        wire::decode_outcome(wire::parse_object(payload));
+    EXPECT_EQ(wire::encode_outcome(journaled), payload);
+    EXPECT_EQ(journaled.status, sent.status);
+    EXPECT_EQ(journaled.snap_saved_cycles, sent.snap_saved_cycles);
+    EXPECT_EQ(journaled.error, sent.error);
+    EXPECT_EQ(journaled.result.invariants.topology_violations,
+              sent.ok() ? 5u : 0u);
+  }
+  // An Ok outcome without its result is refused, not adopted empty.
+  std::string no_result = wire::encode_outcome(failed);
+  no_result.replace(no_result.find("\"failed\""), 8, "\"ok\"");
+  EXPECT_THROW(wire::decode_outcome(wire::parse_object(no_result)),
+               std::runtime_error);
 }
 
 TEST(WireFormat, RejectsTruncatedAndMalformedPayloads) {
@@ -229,7 +271,6 @@ TEST(Supervisor, HungChildIsKilledAndRetried) {
   opt.supervisor.isolate = true;
   opt.supervisor.max_retries = 1;
   opt.supervisor.retry_backoff_ms = 10;
-  opt.supervisor.hang_grace_ms = 500;
   opt.supervisor.debug_hang_cell = 0;
   opt.supervisor.debug_crash_attempts = 1;  // the retry runs clean
   const SweepResult r = run_sweep(cells, opt);
@@ -413,7 +454,6 @@ TEST(Supervisor, CrashAndHangInOneSweepRecoverEndToEnd) {
   opt.supervisor.checkpoint_dir = dir.str();
   opt.supervisor.max_retries = 1;
   opt.supervisor.retry_backoff_ms = 10;
-  opt.supervisor.hang_grace_ms = 500;
   opt.supervisor.debug_crash_cell = 1;
   opt.supervisor.debug_hang_cell = 3;
   opt.supervisor.debug_crash_attempts = 99;  // both cells exhaust retries
@@ -483,7 +523,7 @@ TEST(MidCellCheckpoint, SigkilledWorkerResumesByteIdenticallyAnyThreadCount) {
     const Manifest m = load_manifest(dir.manifest());
     bool found = false;
     for (const auto& e : m.entries) {
-      if (e.cell != 0) continue;
+      if (e.index != 0) continue;
       found = true;
       EXPECT_EQ(e.snap_saved_cycles, 4000u);
     }

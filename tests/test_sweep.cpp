@@ -159,7 +159,6 @@ TEST(SweepEngine, TimedOutCellIsRecordedNotFatal) {
   opt.cell_timeout_ms = 25;
   opt.supervisor.isolate = true;  // only a forked child has a wall clock
   opt.supervisor.max_retries = 0;
-  opt.supervisor.hang_grace_ms = 100;
   const SweepResult r = run_sweep(cells, opt);
   EXPECT_EQ(r.cells[0].status, CellStatus::TimedOut);
   EXPECT_EQ(r.cells[0].attempts, 1u);

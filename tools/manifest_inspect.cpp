@@ -23,10 +23,9 @@ using namespace disco;
 namespace {
 
 /// Outcome class of a journaled cell (see header comment).
-const char* outcome_of(const sim::ManifestEntry& e) {
-  if (e.status != sim::CellStatus::Ok) return "died";
-  if (e.has_result && e.result.fault.hard_enabled &&
-      e.result.fault.hard_faults_applied > 0) {
+const char* outcome_of(const sim::SweepCellOutcome& e) {
+  if (!e.ok()) return "died";
+  if (e.result.fault.hard_enabled && e.result.fault.hard_faults_applied > 0) {
     return "degraded";
   }
   return "clean";
@@ -63,7 +62,7 @@ int main(int argc, char** argv) {
   for (const auto& e : m.entries) {
     ++by_status[to_string(e.status)];
     ++by_outcome[outcome_of(e)];
-    if (e.has_result) kills_absorbed += e.result.fault.components_killed();
+    if (e.ok()) kills_absorbed += e.result.fault.components_killed();
     if (e.snap_saved_cycles > 0) {
       snap_saved_total += e.snap_saved_cycles;
       ++snap_resumed_cells;
@@ -96,7 +95,7 @@ int main(int argc, char** argv) {
     std::printf("\n%-6s %-6s %-18s %-9s %-8s %-12s %s\n", "cell", "group",
                 "status", "outcome", "attempts", "snap_cycles", "error");
     for (const auto& e : m.entries)
-      std::printf("%-6zu %-6zu %-18s %-9s %-8u %-12llu %s\n", e.cell, e.group,
+      std::printf("%-6zu %-6zu %-18s %-9s %-8u %-12llu %s\n", e.index, e.group,
                   to_string(e.status), outcome_of(e), e.attempts,
                   static_cast<unsigned long long>(e.snap_saved_cycles),
                   e.error.c_str());
@@ -104,6 +103,6 @@ int main(int argc, char** argv) {
 
   // Exit 1 when any journaled cell is not Ok, so scripts can gate on it.
   for (const auto& e : m.entries)
-    if (e.status != sim::CellStatus::Ok) return 1;
+    if (!e.ok()) return 1;
   return 0;
 }
