@@ -31,24 +31,20 @@ std::uint64_t cell_digest(const SystemConfig& cfg,
 namespace {
 
 /// Restore-or-warmup, then the chunked measurement loop. Returns the system
-/// that has simulated exactly opt.measure_cycles of measurement.
+/// that has simulated exactly opt.measure_cycles of measurement. Without a
+/// snapshot path the chunk is the whole measurement and nothing is saved.
 std::unique_ptr<cmp::CmpSystem> run_measurement(
     const SystemConfig& cfg, const workload::BenchmarkProfile& profile,
     const RunOptions& opt) {
   auto sys = std::make_unique<cmp::CmpSystem>(cfg, profile);
   const bool checkpointing =
       opt.snapshot_interval > 0 && !opt.snapshot_path.empty();
-  if (!checkpointing) {
-    sys->functional_warmup(opt.warmup_ops_per_core);
-    sys->run(opt.warmup_cycles);
-    sys->reset_stats();
-    sys->run(opt.measure_cycles);
-    return sys;
-  }
-
-  const std::uint64_t digest = cell_digest(cfg, profile, opt);
+  const Cycle interval =
+      checkpointing ? opt.snapshot_interval : opt.measure_cycles;
+  const std::uint64_t digest =
+      checkpointing ? cell_digest(cfg, profile, opt) : 0;
   Cycle done = 0;
-  if (::access(opt.snapshot_path.c_str(), R_OK) == 0) {
+  if (checkpointing && ::access(opt.snapshot_path.c_str(), R_OK) == 0) {
     try {
       done = sys->restore_snapshot(opt.snapshot_path, digest);
       if (done > opt.measure_cycles) done = opt.measure_cycles;
@@ -70,8 +66,7 @@ std::unique_ptr<cmp::CmpSystem> run_measurement(
   }
 
   while (done < opt.measure_cycles) {
-    const Cycle chunk =
-        std::min<Cycle>(opt.snapshot_interval, opt.measure_cycles - done);
+    const Cycle chunk = std::min<Cycle>(interval, opt.measure_cycles - done);
     sys->run(chunk);
     done += chunk;
     if (done < opt.measure_cycles) {
@@ -171,19 +166,6 @@ CellResult run_cell(const SystemConfig& cfg,
     }
   }
   return r;
-}
-
-std::vector<CellResult> run_schemes(SystemConfig cfg,
-                                    const workload::BenchmarkProfile& profile,
-                                    const std::vector<Scheme>& schemes,
-                                    const RunOptions& opt) {
-  std::vector<CellResult> out;
-  out.reserve(schemes.size());
-  for (const Scheme s : schemes) {
-    cfg.scheme = s;
-    out.push_back(run_cell(cfg, profile, opt));
-  }
-  return out;
 }
 
 double geomean(const std::vector<double>& v) {

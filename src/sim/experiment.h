@@ -243,13 +243,6 @@ CellResult run_cell(const SystemConfig& cfg,
                     const workload::BenchmarkProfile& profile,
                     const RunOptions& opt);
 
-/// Run the same workload under several schemes (identical everything else)
-/// and return results in scheme order.
-std::vector<CellResult> run_schemes(SystemConfig cfg,
-                                    const workload::BenchmarkProfile& profile,
-                                    const std::vector<Scheme>& schemes,
-                                    const RunOptions& opt);
-
 /// Geometric mean over positive values.
 double geomean(const std::vector<double>& v);
 

@@ -1,8 +1,7 @@
 #include "sim/supervisor.h"
 
-#include <fcntl.h>
+#include <malloc.h>
 #include <poll.h>
-#include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -14,9 +13,9 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -116,8 +115,7 @@ void tally_outcomes(SweepResult& res) {
         ++res.failed;
         break;
       case CellStatus::Failed:
-      case CellStatus::TimedOut:
-      case CellStatus::ResourceExhausted: ++res.failed; break;
+      case CellStatus::TimedOut: ++res.failed; break;
     }
   }
   if (interrupt_requested()) res.interrupted = true;
@@ -233,7 +231,7 @@ void debug_fault_hook(const SupervisorOptions& so, std::size_t cell,
 }
 
 // ---------------------------------------------------------------------------
-// State shared by both execution modes
+// Retries and the final outcome, the same for both kinds of attempt
 // ---------------------------------------------------------------------------
 
 /// Backoff before the retry that follows attempt `attempt` (>= 1):
@@ -248,33 +246,40 @@ std::uint64_t retry_backoff_ms(std::uint64_t base_ms, unsigned attempt) {
   return base_ms << shift;
 }
 
-/// One sweep's cells, outcomes, journal and progress line. Both modes record
-/// each attempt into res.cells[work[w]] and call finalize() exactly once per
-/// cell; run_sweep finalizes whatever an interrupt left unfinished.
+/// Longest sleep between two looks at the interrupt flag (and, for a forked
+/// attempt, at its wall-clock budget).
+constexpr int kPollMs = 50;
+
+/// Sleep out a retry backoff in slices of at most kPollMs. False when an
+/// interrupt cuts it short: the cell then keeps its last outcome.
+bool wait_backoff(std::uint64_t backoff_ms) {
+  const auto until = Clock::now() + std::chrono::milliseconds(backoff_ms);
+  while (!interrupt_requested()) {
+    const auto now = Clock::now();
+    if (now >= until) return true;
+    std::this_thread::sleep_for(std::min<Clock::duration>(
+        until - now, std::chrono::milliseconds(kPollMs)));
+  }
+  return false;
+}
+
+/// One sweep's cells, journal and progress line: whether an attempt earns a
+/// retry, and what happens once a cell's outcome is final.
 struct SweepState {
   const std::vector<SweepCell>& prepared;
-  const std::vector<std::size_t>& work;
   const SweepOptions& opt;
-  SweepResult& res;
   CheckpointJournal& journal;
   detail::ProgressMeter& progress;
   const SupervisorOptions& so = opt.supervisor;
   const unsigned attempt_limit =
       so.max_retries < UINT_MAX ? so.max_retries + 1 : UINT_MAX;
-  std::vector<Clock::time_point> cell_start =
-      std::vector<Clock::time_point>(work.size());  ///< per work item
-  std::vector<char> done = std::vector<char>(work.size());  ///< finalized
 
-  SweepCellOutcome& outcome(std::size_t w) { return res.cells[work[w]]; }
-
-  /// Whether the attempt just recorded for work item `w` earns a retry; if
-  /// so, notes it and sets `backoff_ms` to the delay before it.
-  bool plan_retry(std::size_t w, std::uint64_t& backoff_ms) {
-    const SweepCellOutcome& out = outcome(w);
+  /// Whether the attempt just recorded in `out` earns a retry; if so, notes
+  /// it and sets `backoff_ms` to the delay before it.
+  bool plan_retry(const SweepCellOutcome& out, std::uint64_t& backoff_ms) {
     const bool retryable = out.status == CellStatus::Failed ||
                            out.status == CellStatus::Crashed ||
-                           out.status == CellStatus::TimedOut ||
-                           out.status == CellStatus::ResourceExhausted;
+                           out.status == CellStatus::TimedOut;
     if (!retryable || out.attempts >= attempt_limit || interrupt_requested())
       return false;
     backoff_ms = retry_backoff_ms(so.retry_backoff_ms, out.attempts);
@@ -287,9 +292,7 @@ struct SweepState {
   }
 
   /// The cell's outcome is final: journal it, drop its snapshot, report it.
-  void finalize(std::size_t w) {
-    SweepCellOutcome& out = outcome(w);
-    out.wall_ms = out.attempts > 0 ? ms_since(cell_start[w]) : 0.0;
+  void finalize(const SweepCellOutcome& out) {
     journal.append(wire::encode_outcome(out));
     // An interrupted cell keeps its snapshot: the --resume rerun picks it up
     // mid-cell.
@@ -302,7 +305,6 @@ struct SweepState {
                     ") " + to_string(out.status) + ": " + out.error);
     }
     progress.cell_done();
-    done[w] = 1;
   }
 };
 
@@ -380,6 +382,10 @@ void write_all(int fd, const std::string& payload) {
 [[noreturn]] void child_main(SweepCell cell, std::size_t index,
                              unsigned attempt, const SweepOptions& opt,
                              int wfd) {
+  // The cell allocates from the forking pool thread's malloc arena, so the
+  // free heap pages inherited from the parent would stay resident unused:
+  // hand them back before the cell runs.
+  ::malloc_trim(0);
   // Fresh signal dispositions: the parent coordinates interactive shutdown
   // (it SIGTERMs us), so a terminal Ctrl-C must not hit children directly.
   std::signal(SIGINT, SIG_IGN);
@@ -444,310 +450,136 @@ void write_all(int fd, const std::string& payload) {
 }
 
 // ---------------------------------------------------------------------------
-// Parent side of --isolate: single-threaded poll() scheduler
+// Parent side of --isolate: one forked attempt, run from a pool thread
 // ---------------------------------------------------------------------------
 
-/// Grace between a timed-out child's SIGTERM and its SIGKILL. The child's
-/// SIGTERM handler writes its postmortem and exits at once; the grace only
-/// bounds a handler that wedges.
+/// Grace between a child's SIGTERM and its SIGKILL. The child's SIGTERM
+/// handler writes its postmortem and exits at once; the grace only bounds a
+/// handler that wedges.
 constexpr double kHangGraceMs = 2000;
 
-struct ChildProc {
-  pid_t pid = -1;
-  int fd = -1;
-  std::size_t windex = 0;  ///< index into the work list
-  unsigned attempt = 1;
-  Clock::time_point start;
-  bool term_sent = false;       ///< SIGTERM sent for exceeding the budget
-  bool interrupt_sent = false;  ///< SIGTERM sent for a sweep shutdown
-  bool killed = false;          ///< escalated to SIGKILL
-  bool rss_killed = false;      ///< SIGKILLed for exceeding --max-rss-mb
-  std::uint64_t rss_mb = 0;     ///< RSS at the moment of the kill
-  Clock::time_point term_at;
-  std::string buf;  ///< accumulated pipe payload
-};
+/// Why the parent stopped a child, if it did.
+enum class Stop { None, Timeout, Interrupt };
 
-struct PendingAttempt {
-  std::size_t windex = 0;
-  unsigned attempt = 1;
-  Clock::time_point not_before;
-};
-
-class IsolatedScheduler {
- public:
-  explicit IsolatedScheduler(SweepState& st)
-      : st_(st), opt_(st.opt), so_(st.so) {}
-
-  void run() {
-    // The scheduler itself stays single-threaded: forking from a process
-    // with live worker threads can deadlock the child on allocator locks.
-    const std::size_t slots =
-        std::min<std::size_t>(detail::resolve_threads(opt_.threads),
-                              std::max<std::size_t>(st_.work.size(), 1));
-    const auto now0 = Clock::now();
-    for (std::size_t w = 0; w < st_.work.size(); ++w)
-      pending_.push_back({w, 1, now0});
-
-    bool shutdown_sent = false;
-    while (!running_.empty() || !pending_.empty()) {
-      if (interrupt_requested() && !shutdown_sent) {
-        shutdown_sent = true;
-        begin_shutdown();
-      }
-      if (!interrupt_requested()) launch_ready(slots);
-      if (running_.empty()) {
-        if (pending_.empty()) break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        continue;
-      }
-      poll_children();
-      enforce_deadlines();
-    }
+void classify_exit(Stop stop, bool killed, int wstatus, const std::string& buf,
+                   const SweepOptions& opt, SweepCellOutcome& out) {
+  if (stop == Stop::Interrupt) {
+    out.status = CellStatus::Interrupted;
+    out.error = "sweep interrupted";
+    return;
   }
-
- private:
-  void launch_ready(std::size_t slots) {
-    const auto now = Clock::now();
-    for (auto it = pending_.begin();
-         it != pending_.end() && running_.size() < slots;) {
-      if (it->not_before <= now) {
-        spawn(*it);
-        it = pending_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+  if (stop == Stop::Timeout) {
+    out.status = CellStatus::TimedOut;
+    out.error = "cell exceeded " + std::to_string(opt.cell_timeout_ms) +
+                "ms budget (child " + (killed ? "killed" : "terminated") + ")";
+    return;
   }
+  if (WIFSIGNALED(wstatus)) {
+    const int sig = WTERMSIG(wstatus);
+    out.status = CellStatus::Crashed;
+    out.error = "child killed by signal " + std::to_string(sig) + " (" +
+                signal_name(sig) + ")";
+    return;
+  }
+  const int code = WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
+  if (code == 0) {
+    // The parent owns the cell's identity; the child reports its verdict.
+    try {
+      SweepCellOutcome sent = wire::decode_outcome(wire::parse_object(buf));
+      out.status = sent.status;
+      out.error = std::move(sent.error);
+      out.snap_saved_cycles = sent.snap_saved_cycles;
+      out.result = std::move(sent.result);
+    } catch (const std::exception& e) {
+      out.status = CellStatus::Failed;
+      out.error = std::string("truncated outcome from child: ") + e.what();
+    }
+    return;
+  }
+  if (code == 124) {
+    // A SIGTERM the parent did not send (Stop::None): treat its ack like a
+    // timeout all the same.
+    out.status = CellStatus::TimedOut;
+    out.error = "child acknowledged termination";
+    return;
+  }
+  out.status = CellStatus::Crashed;
+  out.error = "child exited with unexpected code " + std::to_string(code);
+}
 
-  void spawn(const PendingAttempt& p) {
-    const std::size_t i = st_.work[p.windex];
-    if (p.attempt == 1) st_.cell_start[p.windex] = Clock::now();
-    int fds[2];
+/// One attempt at cell `i` in a forked child: read its outcome off a pipe
+/// until EOF, stop it on an interrupt or past the wall-clock budget
+/// (SIGTERM, then SIGKILL after kHangGraceMs), reap it and classify the exit.
+/// A pipe or fork failure is a Failed attempt, retried like any other.
+void run_forked(const SweepCell& cell, std::size_t i, unsigned attempt,
+                const SweepOptions& opt, SweepCellOutcome& out) {
+  out.attempts = attempt;
+  out.error.clear();
+  // Pool threads fork concurrently. Forking with live threads is safe here:
+  // glibc's fork resets the malloc and stdio locks in the child, and the
+  // child never touches the journal or progress mutexes. One lock from
+  // pipe() to the parent's close of the write end keeps pipe ownership
+  // exact: no sibling child inherits this write end, so EOF means "this
+  // child is done".
+  static std::mutex fork_mu;
+  int fds[2];
+  pid_t pid;
+  {
+    std::lock_guard<std::mutex> lock(fork_mu);
     if (::pipe(fds) != 0) {
-      record_final(p.windex, p.attempt, CellStatus::Failed,
-                   std::string("pipe: ") + std::strerror(errno));
+      out.status = CellStatus::Failed;
+      out.error = std::string("pipe: ") + std::strerror(errno);
       return;
     }
-    const pid_t pid = ::fork();
+    pid = ::fork();
     if (pid < 0) {
+      out.status = CellStatus::Failed;
+      out.error = std::string("fork: ") + std::strerror(errno);
       ::close(fds[0]);
       ::close(fds[1]);
-      record_final(p.windex, p.attempt, CellStatus::Failed,
-                   std::string("fork: ") + std::strerror(errno));
       return;
     }
     if (pid == 0) {
       ::close(fds[0]);
-      child_main(st_.prepared[i], i, p.attempt, opt_, fds[1]);  // never returns
+      child_main(cell, i, attempt, opt, fds[1]);  // never returns
     }
     ::close(fds[1]);
-    ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
-    ChildProc c;
-    c.pid = pid;
-    c.fd = fds[0];
-    c.windex = p.windex;
-    c.attempt = p.attempt;
-    c.start = Clock::now();
-    running_.push_back(std::move(c));
   }
 
-  void poll_children() {
-    std::vector<pollfd> fds(running_.size());
-    for (std::size_t k = 0; k < running_.size(); ++k)
-      fds[k] = {running_[k].fd, POLLIN, 0};
-    ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 50);
-
-    std::vector<std::size_t> closed;
-    for (std::size_t k = 0; k < running_.size(); ++k) {
-      if ((fds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      ChildProc& c = running_[k];
+  const auto start = Clock::now();
+  Stop stop = Stop::None;
+  bool killed = false;
+  Clock::time_point term_at;
+  std::string buf;
+  for (;;) {
+    pollfd p{fds[0], POLLIN, 0};
+    if (::poll(&p, 1, kPollMs) > 0) {
       char tmp[4096];
-      for (;;) {
-        const ssize_t n = ::read(c.fd, tmp, sizeof tmp);
-        if (n > 0) {
-          c.buf.append(tmp, static_cast<std::size_t>(n));
-          continue;
-        }
-        if (n < 0 && errno == EINTR) continue;
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-        closed.push_back(k);  // EOF (or hard read error): child is done
-        break;
-      }
+      const ssize_t n = ::read(fds[0], tmp, sizeof tmp);
+      if (n == 0 || (n < 0 && errno != EINTR)) break;  // EOF: child is done
+      if (n > 0) buf.append(tmp, static_cast<std::size_t>(n));
     }
-    for (auto it = closed.rbegin(); it != closed.rend(); ++it) reap(*it);
-  }
-
-  void reap(std::size_t k) {
-    ChildProc c = std::move(running_[k]);
-    running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(k));
-    ::close(c.fd);
-    int wstatus = 0;
-    while (::waitpid(c.pid, &wstatus, 0) < 0 && errno == EINTR) {
-    }
-
-    SweepCellOutcome& out = st_.outcome(c.windex);
-    out.attempts = c.attempt;
-    out.error.clear();
-    classify_exit(c, wstatus, out);
-    std::uint64_t backoff = 0;
-    if (st_.plan_retry(c.windex, backoff)) {
-      pending_.push_back(
-          {c.windex, c.attempt + 1,
-           Clock::now() + std::chrono::milliseconds(backoff)});
-      return;
-    }
-    st_.finalize(c.windex);
-  }
-
-  void classify_exit(const ChildProc& c, int wstatus,
-                     SweepCellOutcome& out) const {
-    if (c.interrupt_sent) {
-      out.status = CellStatus::Interrupted;
-      out.error = "sweep interrupted";
-      return;
-    }
-    if (c.rss_killed) {
-      out.status = CellStatus::ResourceExhausted;
-      out.error = "child resident set " + std::to_string(c.rss_mb) +
-                  "MiB exceeded the " + std::to_string(so_.max_rss_mb) +
-                  "MiB --max-rss-mb cap (killed)";
-      return;
-    }
-    if (c.term_sent) {
-      out.status = CellStatus::TimedOut;
-      out.error = "cell exceeded " + std::to_string(opt_.cell_timeout_ms) +
-                  "ms budget (child " + (c.killed ? "killed" : "terminated") +
-                  ")";
-      return;
-    }
-    if (WIFSIGNALED(wstatus)) {
-      const int sig = WTERMSIG(wstatus);
-      out.status = CellStatus::Crashed;
-      out.error = "child killed by signal " + std::to_string(sig) + " (" +
-                  signal_name(sig) + ")";
-      return;
-    }
-    const int code = WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
-    if (code == 0) {
-      // The parent owns the cell's identity; the child reports its verdict.
-      try {
-        SweepCellOutcome sent =
-            wire::decode_outcome(wire::parse_object(c.buf));
-        out.status = sent.status;
-        out.error = std::move(sent.error);
-        out.snap_saved_cycles = sent.snap_saved_cycles;
-        out.result = std::move(sent.result);
-      } catch (const std::exception& e) {
-        out.status = CellStatus::Failed;
-        out.error = std::string("truncated outcome from child: ") + e.what();
-      }
-      return;
-    }
-    if (code == 124) {
-      // The child acknowledged our SIGTERM (term_sent handled above, so this
-      // is a stray 124 — treat it like a timeout ack all the same).
-      out.status = CellStatus::TimedOut;
-      out.error = "child acknowledged termination";
-      return;
-    }
-    out.status = CellStatus::Crashed;
-    out.error = "child exited with unexpected code " + std::to_string(code);
-  }
-
-  /// Resident set of `pid` in MiB via /proc/<pid>/statm (Linux; returns 0
-  /// where /proc is unavailable, which disables the cap gracefully).
-  static std::uint64_t read_rss_mb(pid_t pid) {
-    char path[64];
-    std::snprintf(path, sizeof path, "/proc/%d/statm", static_cast<int>(pid));
-    std::FILE* f = std::fopen(path, "r");
-    if (f == nullptr) return 0;
-    unsigned long long size = 0, resident = 0;
-    const int n = std::fscanf(f, "%llu %llu", &size, &resident);
-    std::fclose(f);
-    if (n != 2) return 0;
-    static const long page = ::sysconf(_SC_PAGESIZE);
-    return resident * static_cast<unsigned long long>(page) / (1024 * 1024);
-  }
-
-  void enforce_deadlines() {
-    const auto now = Clock::now();
-    for (ChildProc& c : running_) {
-      // Memory watchdog: a worker past the RSS cap is killed outright
-      // (SIGTERM could be absorbed by an allocator stuck in swap-thrash)
-      // and journaled as resource_exhausted, not conflated with hangs.
-      if (so_.max_rss_mb > 0 && !c.term_sent && !c.interrupt_sent &&
-          !c.rss_killed) {
-        const std::uint64_t rss = read_rss_mb(c.pid);
-        if (rss > so_.max_rss_mb) {
-          ::kill(c.pid, SIGKILL);
-          c.rss_killed = true;
-          c.rss_mb = rss;
-          continue;
-        }
-      }
-      if (c.term_sent || c.interrupt_sent) {
-        if (!c.killed &&
-            ms_since(c.term_at) > kHangGraceMs) {
-          ::kill(c.pid, SIGKILL);
-          c.killed = true;
-        }
+    if (stop == Stop::None) {
+      if (interrupt_requested()) {
+        stop = Stop::Interrupt;
+      } else if (opt.cell_timeout_ms > 0 &&
+                 ms_since(start) > static_cast<double>(opt.cell_timeout_ms)) {
+        stop = Stop::Timeout;
+      } else {
         continue;
       }
-      if (opt_.cell_timeout_ms > 0 &&
-          std::chrono::duration<double, std::milli>(now - c.start).count() >
-              static_cast<double>(opt_.cell_timeout_ms)) {
-        ::kill(c.pid, SIGTERM);
-        c.term_sent = true;
-        c.term_at = now;
-      }
+      ::kill(pid, SIGTERM);
+      term_at = Clock::now();
+    } else if (!killed && ms_since(term_at) > kHangGraceMs) {
+      ::kill(pid, SIGKILL);
+      killed = true;
     }
   }
-
-  void begin_shutdown() {
-    const auto now = Clock::now();
-    for (ChildProc& c : running_) {
-      if (!c.term_sent && !c.interrupt_sent) {
-        ::kill(c.pid, SIGTERM);
-        c.term_at = now;
-      }
-      c.interrupt_sent = true;
-    }
-    // Pending attempts never run; run_sweep finalizes their cells.
-    pending_.clear();
+  ::close(fds[0]);
+  int wstatus = 0;
+  while (::waitpid(pid, &wstatus, 0) < 0 && errno == EINTR) {
   }
-
-  void record_final(std::size_t windex, unsigned attempt, CellStatus status,
-                    std::string error) {
-    SweepCellOutcome& out = st_.outcome(windex);
-    out.attempts = attempt;
-    out.status = status;
-    out.error = std::move(error);
-    st_.finalize(windex);
-  }
-
-  SweepState& st_;
-  const SweepOptions& opt_;
-  const SupervisorOptions& so_;
-  std::deque<PendingAttempt> pending_;
-  std::vector<ChildProc> running_;
-};
-
-// ---------------------------------------------------------------------------
-// In-process execution: the thread pool, no fork, no wall clock
-// ---------------------------------------------------------------------------
-
-void run_in_process(SweepState& st) {
-  detail::run_pool(st.work.size(), st.opt.threads, [&st](std::size_t w) {
-    st.cell_start[w] = Clock::now();
-    std::uint64_t backoff = 0;
-    for (unsigned attempt = 1;; ++attempt) {
-      run_attempt(st.prepared[st.work[w]], st.so, attempt,
-                  /*in_child=*/false, st.outcome(w));
-      if (!st.plan_retry(w, backoff)) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-    }
-    st.finalize(w);
-  });
+  classify_exit(stop, killed, wstatus, buf, opt, out);
 }
 
 }  // namespace
@@ -858,23 +690,32 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
                  std::move(carried));
 
   detail::ProgressMeter progress(work.size(), opt);
-  SweepState st{prepared, work, opt, res, journal, progress};
-  if (so.isolate) {
-    IsolatedScheduler(st).run();
-  } else {
-    run_in_process(st);
-  }
-
-  // An interrupt shutdown leaves cells unfinished: one that never ran is
-  // Interrupted; one waiting out a retry backoff keeps its last outcome.
-  for (std::size_t w = 0; w < work.size(); ++w) {
-    if (st.done[w]) continue;
-    SweepCellOutcome& out = st.outcome(w);
-    if (out.attempts == 0) {
-      out.status = CellStatus::Interrupted;
-      out.error = "sweep interrupted before this cell ran";
+  SweepState st{prepared, opt, journal, progress};
+  // One loop for both modes; only the attempt differs.
+  detail::run_pool(work.size(), opt.threads, [&](std::size_t w) {
+    const std::size_t i = work[w];
+    SweepCellOutcome& out = res.cells[i];
+    const auto start = Clock::now();
+    std::uint64_t backoff = 0;
+    for (unsigned attempt = 1;; ++attempt) {
+      if (so.isolate) {
+        run_forked(prepared[i], i, attempt, opt, out);
+      } else {
+        run_attempt(prepared[i], so, attempt, /*in_child=*/false, out);
+      }
+      if (!st.plan_retry(out, backoff) || !wait_backoff(backoff)) break;
     }
-    st.finalize(w);
+    out.wall_ms = ms_since(start);
+    st.finalize(out);
+  });
+
+  // An interrupt stops the pool from claiming cells; those never ran.
+  for (const std::size_t i : work) {
+    SweepCellOutcome& out = res.cells[i];
+    if (out.attempts > 0) continue;
+    out.status = CellStatus::Interrupted;
+    out.error = "sweep interrupted before this cell ran";
+    st.finalize(out);
   }
   tally_outcomes(res);
   res.wall_ms = ms_since(t0);

@@ -1,23 +1,24 @@
-// Sweep supervisor: supervisor.cpp defines run_sweep (sweep.h), which runs
-// the cells one of two ways and treats both alike afterwards.
+// Sweep supervisor: supervisor.cpp defines run_sweep (sweep.h). One thread
+// pool runs every sweep; each pool thread takes a cell through its attempts,
+// and only the attempt itself differs between the two modes.
 //
-//   - In-process (default): a thread pool runs each cell attempt directly.
+//   - In-process (default): the pool thread runs the attempt directly.
 //     There is no wall clock — a cell's budget is its cycle counts plus the
 //     optional --progress-watchdog — and a crash still kills the process.
-//   - Isolated (--isolate): each attempt runs in a forked child process
-//     that reports its outcome back over a pipe as the very object the
-//     manifest journals (wire.h); the parent is a single-threaded poll()
-//     scheduler that enforces the --timeout-ms wall-clock budget with
-//     SIGTERM -> grace -> SIGKILL escalation. On a crash or hang the child
+//   - Isolated (--isolate): the pool thread forks a child for the attempt.
+//     The child reports its outcome back over a pipe as the very object the
+//     manifest journals (wire.h). The pool thread waits on that pipe and
+//     enforces the --timeout-ms wall-clock budget and an interrupt shutdown
+//     with SIGTERM -> grace -> SIGKILL. On a crash or hang the child
 //     flushes a postmortem black box (tracer ring tail, invariant summary,
 //     last-progress cycle, stall census) next to the manifest.
 //
 // In both modes a crashed / hung / failed cell is retried with exponential
-// backoff (1 + max_retries attempts), and with --checkpoint-dir every
-// finished cell is journaled to an append-only checkpoint manifest (atomic
-// tmp + rename per cell). A later run with --resume adopts the manifest's
-// Ok cells verbatim, so its aggregate output is byte-identical to an
-// uninterrupted run.
+// backoff (1 + max_retries attempts); an interrupt during a backoff ends the
+// cell with its last outcome. With --checkpoint-dir every finished cell is
+// journaled to an append-only checkpoint manifest (atomic tmp + rename per
+// cell). A later run with --resume adopts the manifest's Ok cells verbatim,
+// so its aggregate output is byte-identical to an uninterrupted run.
 #pragma once
 
 #include <cstdint>

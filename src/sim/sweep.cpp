@@ -17,12 +17,6 @@ namespace disco::sim {
 
 namespace detail {
 
-unsigned resolve_threads(unsigned requested) {
-  if (requested > 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 1 ? hw - 1 : 1;
-}
-
 void run_pool(std::size_t count, unsigned threads,
               const std::function<void(std::size_t)>& task) {
   if (count == 0) return;
@@ -33,7 +27,11 @@ void run_pool(std::size_t count, unsigned threads,
       task(i);
     }
   };
-  const unsigned n = std::min<std::size_t>(resolve_threads(threads), count);
+  if (threads == 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    threads = hw > 1 ? hw - 1 : 1;
+  }
+  const unsigned n = std::min<std::size_t>(threads, count);
   if (n <= 1) {
     worker();
     return;
@@ -80,9 +78,6 @@ namespace {
                "                       resume from the last good snapshot\n"
                "                       byte-identically instead of recomputing\n"
                "                       from cycle 0 (0 = off)\n"
-               "  --max-rss-mb M       SIGKILL an isolated child whose resident\n"
-               "                       set exceeds M MiB; journaled as\n"
-               "                       resource_exhausted (0 = off)\n"
                "  --progress-watchdog N fail a cell with a classified deadlock/\n"
                "                       livelock/starvation error if no packet\n"
                "                       moves for N cycles while work is pending\n"
@@ -131,7 +126,6 @@ const char* to_string(CellStatus s) {
     case CellStatus::Skipped: return "skipped";
     case CellStatus::Crashed: return "crashed";
     case CellStatus::Interrupted: return "interrupted";
-    case CellStatus::ResourceExhausted: return "resource_exhausted";
   }
   return "?";
 }
@@ -192,20 +186,6 @@ SweepOptions parse_sweep_flags(int argc, char** argv,
     if (end == v || *end != '\0' || !(r >= 0.0 && r <= 1.0)) bad(w, v);
     return r;
   };
-  // Debug fault hooks are also settable from the environment so CI can break
-  // a child without touching every bench's argv plumbing.
-  if (const char* e = std::getenv("DISCO_DEBUG_CRASH_CELL"))
-    so.debug_crash_cell = cell("DISCO_DEBUG_CRASH_CELL", e);
-  if (const char* e = std::getenv("DISCO_DEBUG_HANG_CELL"))
-    so.debug_hang_cell = cell("DISCO_DEBUG_HANG_CELL", e);
-  if (const char* e = std::getenv("DISCO_DEBUG_THROW_CELL"))
-    so.debug_throw_cell = cell("DISCO_DEBUG_THROW_CELL", e);
-  if (const char* e = std::getenv("DISCO_DEBUG_CRASH_ATTEMPTS"))
-    so.debug_crash_attempts = u32("DISCO_DEBUG_CRASH_ATTEMPTS", e);
-  if (const char* e = std::getenv("DISCO_DEBUG_KILL_CELL"))
-    so.debug_kill_cell = cell("DISCO_DEBUG_KILL_CELL", e);
-  if (const char* e = std::getenv("DISCO_DEBUG_KILL_CYCLE"))
-    so.debug_kill_cycle = u64("DISCO_DEBUG_KILL_CYCLE", e);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> const char* {
@@ -235,8 +215,6 @@ SweepOptions parse_sweep_flags(int argc, char** argv,
       so.retry_backoff_ms = u64(arg, value());
     } else if (arg == "--snapshot-interval-cycles") {
       so.snapshot_interval_cycles = u64(arg, value());
-    } else if (arg == "--max-rss-mb") {
-      so.max_rss_mb = u64(arg, value());
     } else if (arg == "--progress-watchdog") {
       opt.progress_watchdog_cycles = u64(arg, value());
     } else if (arg == "--debug-crash-cell") {

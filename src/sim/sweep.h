@@ -10,7 +10,8 @@
 //     N-thread run emits bit-identical metrics to a serial run.
 //   - Robustness: a cell that throws is retried up to supervisor.max_retries
 //     times with backoff and then recorded as Failed (with the exception
-//     text) instead of aborting the whole sweep. An in-process cell has a
+//     text) instead of aborting the whole sweep; an interrupt during the
+//     backoff keeps that last outcome. An in-process cell has a
 //     deterministic budget (its warm-up and measure cycles, plus the
 //     optional --progress-watchdog); a wall-clock budget needs --isolate.
 //   - Crash resilience: with --isolate each cell runs in a forked child
@@ -33,9 +34,10 @@
 
 namespace disco::sim {
 
-/// Retry, checkpoint and crash-resilience knobs (see supervisor.h). With
-/// `isolate` each cell attempt runs in a forked child; otherwise on the
-/// in-process thread pool. Retries, backoff and the journal work in both.
+/// Retry, checkpoint and crash-resilience knobs (see supervisor.h). The
+/// thread pool runs every sweep; with `isolate` each cell attempt runs in a
+/// child forked from its pool thread. Retries, backoff and the journal work
+/// in both modes.
 struct SupervisorOptions {
   /// Run each cell attempt in a forked child process; a crash or hard hang
   /// costs one cell attempt, never the sweep.
@@ -60,10 +62,6 @@ struct SupervisorOptions {
   /// Corrupted / mismatched snapshots are rejected by checksum and the
   /// retry falls back to a from-zero run. 0 = off.
   std::uint64_t snapshot_interval_cycles = 0;
-  /// Resident-set cap per isolated child, in MiB: a worker whose RSS
-  /// exceeds it is SIGKILLed and journaled as `resource_exhausted`
-  /// (distinct from crashes and hangs), honoring retry/backoff. 0 = off.
-  std::uint64_t max_rss_mb = 0;
 
   // --- deterministic fault hooks for tests and the CI recovery drill ---
   /// Cell index that SIGSEGVs (isolated) / throws (in-process); -1 = none.
@@ -138,10 +136,6 @@ enum class CellStatus : std::uint8_t {
   Skipped,      ///< not in this shard
   Crashed,      ///< isolated child died on a signal (SIGSEGV, ...)
   Interrupted,  ///< SIGINT/SIGTERM shutdown before the cell could finish
-  /// Isolated child exceeded its --max-rss-mb resident-set cap and was
-  /// SIGKILLed by the supervisor — a resource outcome distinct from
-  /// crashes and hangs, so memory regressions are visible in manifests.
-  ResourceExhausted,
 };
 
 const char* to_string(CellStatus s);
@@ -180,11 +174,11 @@ struct SweepResult {
   std::vector<CellResult> ok_results() const;
 };
 
-/// Run the sweep: in forked children when opt.supervisor.isolate, else on
-/// the in-process thread pool (defined in supervisor.cpp). Throws
-/// std::invalid_argument when a wall-clock budget or a debug hang is asked
-/// of an in-process sweep, and std::runtime_error when a resume manifest
-/// does not match the sweep.
+/// Run the sweep on the thread pool, each cell attempt in a forked child
+/// when opt.supervisor.isolate, else in-process (defined in supervisor.cpp).
+/// Throws std::invalid_argument when a wall-clock budget or a debug hang is
+/// asked of an in-process sweep, and std::runtime_error when a resume
+/// manifest does not match the sweep.
 SweepResult run_sweep(const std::vector<SweepCell>& cells,
                       const SweepOptions& opt);
 
@@ -209,9 +203,7 @@ void install_interrupt_handlers();
 /// `positional` in order. Exits with a usage message (code 2) on malformed
 /// flags — a number that is not all digits or out of range, or
 /// --timeout-ms / --debug-hang-cell without --isolate — and code 0 on
-/// --help. The DISCO_DEBUG_{CRASH,HANG,THROW,KILL}_CELL /
-/// DISCO_DEBUG_CRASH_ATTEMPTS / DISCO_DEBUG_KILL_CYCLE environment variables
-/// seed the corresponding debug hooks and are parsed as strictly.
+/// --help.
 SweepOptions parse_sweep_flags(int argc, char** argv,
                                std::vector<std::string>& positional);
 

@@ -20,8 +20,6 @@ inline double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-unsigned resolve_threads(unsigned requested);
-
 /// Serialized stderr progress line: cells done / total, elapsed, ETA.
 class ProgressMeter {
  public:
@@ -61,10 +59,11 @@ class ProgressMeter {
   std::mutex mu_;
 };
 
-/// Pull-based pool: workers claim task indices from a shared counter. With
-/// one resolved thread the tasks run inline on the calling thread, so serial
-/// and parallel execution share one code path. Workers stop claiming new
-/// tasks once the process interrupt flag is raised.
+/// Pull-based pool: workers claim task indices from a shared counter;
+/// `threads` 0 means max(1, hardware_concurrency - 1). With one thread the
+/// tasks run inline on the calling thread, so serial and parallel execution
+/// share one code path. Workers stop claiming new tasks once the process
+/// interrupt flag is raised.
 void run_pool(std::size_t count, unsigned threads,
               const std::function<void(std::size_t)>& task);
 

@@ -142,8 +142,7 @@ struct Scanner {
 CellStatus status_from_name(const std::string& s) {
   for (const CellStatus c :
        {CellStatus::Ok, CellStatus::Failed, CellStatus::TimedOut,
-        CellStatus::Skipped, CellStatus::Crashed, CellStatus::Interrupted,
-        CellStatus::ResourceExhausted}) {
+        CellStatus::Skipped, CellStatus::Crashed, CellStatus::Interrupted}) {
     if (s == to_string(c)) return c;
   }
   fail("unknown cell status \"" + s + "\"");

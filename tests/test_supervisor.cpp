@@ -9,12 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
+#include <sys/wait.h>
 
 #include <bit>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "cmp/system.h"
 #include "common/interrupt.h"
@@ -384,6 +388,82 @@ TEST(Supervisor, InterruptFlushesManifestAndResumeFinishesTheSweep) {
   EXPECT_EQ(as_json(done), reference);
 }
 
+TEST(Supervisor, InterruptStopsRunningIsolatedChildren) {
+  InterruptFlagGuard guard;
+  ScratchDir dir("interrupt-isolated");
+  const auto cells = small_grid();
+  const std::string reference = as_json(run_sweep(cells, quiet(2)));
+
+  // Cell 0's child hangs and there is no wall-clock budget, so only the
+  // shutdown can stop it. The interrupt lands once the sweep is running.
+  SweepOptions opt = quiet(2);
+  opt.supervisor.isolate = true;
+  opt.supervisor.checkpoint_dir = dir.str();
+  opt.supervisor.debug_hang_cell = 0;
+  std::thread stopper([&dir] {
+    while (!dir.has("manifest.jsonl"))
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    interrupt_flag().store(true);
+  });
+  const SweepResult r = run_sweep(cells, opt);
+  stopper.join();
+  EXPECT_TRUE(r.interrupted);
+  EXPECT_EQ(r.cells[0].status, CellStatus::Interrupted) << r.cells[0].error;
+  EXPECT_EQ(r.cells[0].attempts, 1u);
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD) << "every forked child must be reaped";
+
+  interrupt_flag().store(false);
+  const Manifest m = load_manifest(dir.manifest());
+  bool found = false;
+  for (const auto& e : m.entries) {
+    if (e.index != 0) continue;
+    found = true;
+    EXPECT_EQ(e.status, CellStatus::Interrupted);
+  }
+  EXPECT_TRUE(found) << "the interrupted cell must be journaled";
+
+  SweepOptions resume = quiet(2);
+  resume.supervisor.isolate = true;
+  resume.supervisor.resume_manifest = dir.manifest();
+  resume.supervisor.checkpoint_dir = dir.str();
+  const SweepResult done = run_sweep(cells, resume);
+  EXPECT_TRUE(done.all_ok());
+  EXPECT_EQ(as_json(done), reference);
+}
+
+TEST(Supervisor, InterruptDuringRetryBackoffKeepsLastOutcome) {
+  InterruptFlagGuard guard;
+  auto cells = small_grid();
+  cells.resize(1);
+  for (const bool isolate : {false, true}) {
+    SCOPED_TRACE(isolate ? "isolated" : "in-process");
+    interrupt_flag().store(false);
+    SweepOptions opt = quiet(1);
+    opt.supervisor.isolate = isolate;
+    opt.supervisor.debug_throw_cell = 0;
+    opt.supervisor.max_retries = 1;
+    opt.supervisor.retry_backoff_ms = 20000;
+    // Attempt 1 throws at once; the interrupt lands in the 20 s backoff.
+    std::thread stopper([] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+      interrupt_flag().store(true);
+    });
+    const auto t0 = std::chrono::steady_clock::now();
+    const SweepResult r = run_sweep(cells, opt);
+    const auto waited = std::chrono::steady_clock::now() - t0;
+    stopper.join();
+    EXPECT_TRUE(r.interrupted);
+    EXPECT_EQ(r.cells[0].status, CellStatus::Failed) << r.cells[0].error;
+    EXPECT_EQ(r.cells[0].error, "int exception: 42");
+    EXPECT_EQ(r.cells[0].attempts, 1u) << "the interrupt cancels the retry";
+    EXPECT_LT(waited, std::chrono::seconds(10))
+        << "the interrupt must cut the backoff short";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // In-sim no-progress watchdog
 // ---------------------------------------------------------------------------
@@ -579,39 +659,6 @@ TEST(MidCellCheckpoint, FreshSweepClearsStaleSnapshots) {
   EXPECT_FALSE(dir.has("snap-cell0.bin"))
       << "a fresh (non-resume) sweep must invalidate leftover snapshots";
   EXPECT_FALSE(dir.has("snap-cell0.bin.tmp"));
-}
-
-// ---------------------------------------------------------------------------
-// RSS watchdog: memory exhaustion is a distinct, retryable outcome
-// ---------------------------------------------------------------------------
-
-TEST(RssWatchdog, OverLimitWorkerIsKilledAndJournaledDistinctly) {
-  auto cells = small_grid();
-  cells.resize(1);
-  cells[0].opt.measure_cycles = 50'000'000;  // long enough to get sampled
-  ScratchDir dir("rss");
-  SweepOptions opt = quiet(1);
-  opt.supervisor.isolate = true;
-  opt.supervisor.checkpoint_dir = dir.str();
-  opt.supervisor.max_rss_mb = 1;  // any real worker exceeds 1 MiB instantly
-  opt.supervisor.max_retries = 1;
-  opt.supervisor.retry_backoff_ms = 10;
-  const SweepResult r = run_sweep(cells, opt);
-  EXPECT_EQ(r.cells[0].status, CellStatus::ResourceExhausted)
-      << r.cells[0].error;
-  EXPECT_EQ(r.cells[0].attempts, 2u)
-      << "resource exhaustion honors retry/backoff like other failures";
-  EXPECT_NE(r.cells[0].error.find("max-rss-mb"), std::string::npos);
-  EXPECT_EQ(r.failed, 1u);
-
-  // The distinct outcome survives the journal roundtrip.
-  const Manifest m = load_manifest(dir.manifest());
-  ASSERT_EQ(m.entries.size(), 1u);
-  EXPECT_EQ(m.entries[0].status, CellStatus::ResourceExhausted);
-  std::ifstream f(dir.manifest());
-  std::stringstream body;
-  body << f.rdbuf();
-  EXPECT_NE(body.str().find("resource_exhausted"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

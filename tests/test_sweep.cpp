@@ -198,12 +198,6 @@ TEST(SweepEngine, MalformedFlagsAndWallClockWithoutIsolateAreUsageErrors) {
   EXPECT_EXIT(parse({"--fault-rate", "2"}), usage_error, "");
   EXPECT_EXIT(parse({"--timeout-ms", "100"}), usage_error, "--isolate");
   EXPECT_EXIT(parse({"--debug-hang-cell", "0"}), usage_error, "--isolate");
-  EXPECT_EXIT(
-      {
-        ::setenv("DISCO_DEBUG_HANG_CELL", "0", 1);
-        parse({});
-      },
-      usage_error, "--isolate");
   EXPECT_EXIT(parse({"--isolate", "--timeout-ms", "100", "--debug-hang-cell",
                      "0", "--max-retries", "4294967294", "--threads", "8"}),
               ::testing::ExitedWithCode(0), "");

@@ -161,9 +161,11 @@ TEST(Experiment, SchemeOrderingOnCompressibleWorkload) {
   opt.warmup_ops_per_core = 12000;
   opt.warmup_cycles = 8000;
   opt.measure_cycles = 40000;
-  const auto rs =
-      sim::run_schemes(cfg, workload::profile_by_name("dedup"),
-                       {Scheme::Ideal, Scheme::DISCO, Scheme::CC}, opt);
+  std::vector<sim::CellResult> rs;
+  for (const Scheme s : {Scheme::Ideal, Scheme::DISCO, Scheme::CC}) {
+    cfg.scheme = s;
+    rs.push_back(sim::run_cell(cfg, workload::profile_by_name("dedup"), opt));
+  }
   EXPECT_LE(rs[0].avg_nuca_latency, rs[1].avg_nuca_latency * 1.02);
   EXPECT_LT(rs[1].avg_nuca_latency, rs[2].avg_nuca_latency);
 }
@@ -178,9 +180,12 @@ TEST(Experiment, Sc2CrossoverCncLagsCc) {
   opt.warmup_ops_per_core = 10000;
   opt.warmup_cycles = 6000;
   opt.measure_cycles = 30000;
-  const auto rs = sim::run_schemes(
-      cfg, workload::profile_by_name("blackscholes"),
-      {Scheme::CC, Scheme::CNC, Scheme::DISCO}, opt);
+  std::vector<sim::CellResult> rs;
+  for (const Scheme s : {Scheme::CC, Scheme::CNC, Scheme::DISCO}) {
+    cfg.scheme = s;
+    rs.push_back(
+        sim::run_cell(cfg, workload::profile_by_name("blackscholes"), opt));
+  }
   EXPECT_LT(rs[2].avg_nuca_latency, rs[0].avg_nuca_latency) << "DISCO vs CC";
   EXPECT_LT(rs[2].avg_nuca_latency, rs[1].avg_nuca_latency) << "DISCO vs CNC";
   EXPECT_LT(rs[0].avg_nuca_latency, rs[1].avg_nuca_latency)
