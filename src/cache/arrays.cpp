@@ -225,11 +225,20 @@ void SegmentedArray::io(Self& s, Ar& ar, std::uint32_t nodes) {
   ar.count(s.sets_, "snapshot: L2 array geometry mismatch");
   ar.count(s.ways_, "snapshot: L2 array geometry mismatch");
   ar.count(s.tag_factor_, "snapshot: L2 array geometry mismatch");
+  // install and erase reset whole lines, so an empty slot always holds the
+  // default line and the compact tag store says which slots are occupied:
+  // only occupied slots are touched, and a load rebuilds the tags inline.
+  std::size_t k = 0;  // flat slot index into tags_
   for (auto& set : s.sets_storage_) {
     for (auto& line : set) {
-      if constexpr (Ar::kLoading) line = L2Line{};
-      ar.b(line.valid);
-      if (!line.valid) continue;
+      auto& tag = s.tags_[k++];
+      bool valid = tag != kNoTag;
+      if constexpr (Ar::kLoading) {
+        if (valid) line = L2Line{};
+        tag = kNoTag;
+      }
+      ar.b(valid);
+      if (!valid) continue;
       ar.u64(line.addr);
       ar.b(line.dirty);
       ar.b(line.busy);
@@ -240,19 +249,14 @@ void SegmentedArray::io(Self& s, Ar& ar, std::uint32_t nodes) {
       ar.en(line.dir.kind, DirInfo::Kind::Excl);
       ar.u64(line.dir.sharers);
       ar.u16(line.dir.owner);
-      if constexpr (Ar::kLoading) check_dir(line.dir, nodes);
-    }
-  }
-  for (auto& u : s.used_segments_) ar.u32(u);
-  if constexpr (Ar::kLoading) {
-    // Rebuild the compact tag store from the restored lines.
-    for (std::size_t set = 0; set < s.sets_; ++set) {
-      for (std::size_t i = 0; i < s.slots_per_set_; ++i) {
-        const L2Line& line = s.sets_storage_[set][i];
-        s.tags_[set * s.slots_per_set_ + i] = line.valid ? line.addr : kNoTag;
+      if constexpr (Ar::kLoading) {
+        check_dir(line.dir, nodes);
+        line.valid = true;
+        tag = line.addr;
       }
     }
   }
+  for (auto& u : s.used_segments_) ar.u32(u);
 }
 
 void SegmentedArray::serialize(snap::Writer& w, std::uint32_t nodes) const {

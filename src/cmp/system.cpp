@@ -1,5 +1,6 @@
 #include "cmp/system.h"
 
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <fstream>
@@ -621,19 +622,23 @@ void CmpSystem::save_snapshot(const std::string& path,
                               std::uint64_t measured_done,
                               std::uint64_t digest) const {
   // Component bodies intern packets into the table as they serialize, so
-  // the table (closed under nack_ref) is spliced in after the fact, between
-  // the metadata and the bodies: restore can then materialize every packet
-  // first and resolve the bodies' references in a single pass.
+  // the table (closed under nack_ref) is written after them and spliced in
+  // as a file part between the metadata and the bodies: restore can then
+  // materialize every packet first and resolve the bodies' references in a
+  // single pass.
   noc::PacketTable table(cfg_.noc.num_nodes());
   snap::Writer w;
+  w.reserve(snapshot_bytes_ + snapshot_bytes_ / 8);
   std::size_t meta_end = 0;
   io(*this, w, table, digest, measured_done, [&] { meta_end = w.size(); });
+  snap::Writer tab;
+  table.save_table(tab);
+  snapshot_bytes_ = w.size();
   const std::span<const std::uint8_t> all(w.data());
-  snap::Writer payload;
-  payload.raw(all.first(meta_end));
-  table.save_table(payload);
-  payload.raw(all.subspan(meta_end));
-  snap::write_snapshot_file(path, payload.data());
+  const std::array<std::span<const std::uint8_t>, 3> parts = {
+      all.first(meta_end), std::span<const std::uint8_t>(tab.data()),
+      all.subspan(meta_end)};
+  snap::write_snapshot_file(path, parts);
 }
 
 std::uint64_t CmpSystem::restore_snapshot(const std::string& path,

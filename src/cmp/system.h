@@ -213,6 +213,11 @@ class CmpSystem {
   std::uint64_t last_progress_sig_ = 0;
   std::uint64_t activity_sig_at_progress_ = 0;
   Cycle last_progress_cycle_ = 0;
+
+  /// Bytes of the last save's body buffer. The next save reserves an eighth
+  /// more, so a state that grew a little does not reallocate (and copy, with
+  /// both buffers resident) mid-save.
+  mutable std::size_t snapshot_bytes_ = 0;
 };
 
 }  // namespace disco::cmp

@@ -1,10 +1,10 @@
 #include "common/snapshot.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <array>
-#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -16,20 +16,11 @@ namespace disco::snap {
 namespace {
 
 constexpr std::array<char, 4> kMagic = {'D', 'S', 'N', 'P'};
+constexpr std::size_t kHeaderBytes = 20;  // magic, version, length, crc
 
 [[noreturn]] void fail(const std::string& what) { throw SnapshotError(what); }
 
 }  // namespace
-
-void Writer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-bool Reader::b() {
-  const std::uint8_t v = u8();
-  if (v > 1) fail("snapshot: bool byte out of range");
-  return v != 0;
-}
-
-double Reader::f64() { return std::bit_cast<double>(u64()); }
 
 std::vector<std::uint8_t> Reader::bytes() {
   const std::uint64_t n = u64();
@@ -45,11 +36,6 @@ std::string Reader::str() {
   return std::string(reinterpret_cast<const char*>(s.data()), s.size());
 }
 
-void Reader::raw(std::span<std::uint8_t> out) {
-  const auto s = take(out.size());
-  std::memcpy(out.data(), s.data(), s.size());
-}
-
 void Reader::fail(const char* what) { throw SnapshotError(what); }
 
 std::uint64_t Reader::length() {
@@ -62,33 +48,27 @@ void Reader::expect_end() const {
   if (pos_ != data_.size()) fail("snapshot: trailing bytes after payload");
 }
 
-std::span<const std::uint8_t> Reader::take(std::size_t n) {
-  if (n > remaining()) fail("snapshot: truncated payload");
-  const auto s = data_.subspan(pos_, n);
-  pos_ += n;
-  return s;
-}
-
-std::uint64_t Reader::le(std::size_t n) {
-  const auto s = take(n);
-  std::uint64_t v = 0;
-  for (std::size_t i = n; i > 0; --i) v = (v << 8) | s[i - 1];
-  return v;
-}
-
 void write_snapshot_file(const std::string& path,
-                         std::span<const std::uint8_t> payload) {
+                         std::span<const std::span<const std::uint8_t>> parts) {
+  std::uint64_t len = 0;
+  std::uint32_t crc = 0;
+  for (const auto& part : parts) {
+    len += part.size();
+    crc = crc32(part, crc);
+  }
   Writer head;
   head.raw(std::span<const std::uint8_t>(
       reinterpret_cast<const std::uint8_t*>(kMagic.data()), kMagic.size()));
   head.u32(kSnapshotVersion);
-  head.u64(payload.size());
-  head.u32(crc32(payload));
+  head.u64(len);
+  head.u32(crc);
 
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) fail("snapshot: cannot open " + tmp + ": " + std::strerror(errno));
-  auto write_all = [&](const std::uint8_t* p, std::size_t n) {
+  auto write_all = [&](std::span<const std::uint8_t> bytes) {
+    const std::uint8_t* p = bytes.data();
+    std::size_t n = bytes.size();
     while (n > 0) {
       const ssize_t w = ::write(fd, p, n);
       if (w < 0) {
@@ -102,8 +82,8 @@ void write_snapshot_file(const std::string& path,
       n -= static_cast<std::size_t>(w);
     }
   };
-  write_all(head.data().data(), head.size());
-  write_all(payload.data(), payload.size());
+  write_all(head.data());
+  for (const auto& part : parts) write_all(part);
   if (::fsync(fd) != 0) {
     const int e = errno;
     ::close(fd);
@@ -121,24 +101,33 @@ void write_snapshot_file(const std::string& path,
 std::vector<std::uint8_t> read_snapshot_file(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) fail("snapshot: cannot open " + path + ": " + std::strerror(errno));
-  std::vector<std::uint8_t> all;
-  std::array<std::uint8_t, 1 << 16> chunk;
-  for (;;) {
-    const ssize_t r = ::read(fd, chunk.data(), chunk.size());
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      const int e = errno;
-      ::close(fd);
-      fail("snapshot: read of " + path + " failed: " + std::strerror(e));
+  const struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  auto read_all = [&](std::span<std::uint8_t> out) {
+    while (!out.empty()) {
+      const ssize_t r = ::read(fd, out.data(), out.size());
+      if (r < 0) {
+        if (errno == EINTR) continue;
+        fail("snapshot: read of " + path + " failed: " + std::strerror(errno));
+      }
+      if (r == 0) fail("snapshot: " + path + " ended before its stated size");
+      out = out.subspan(static_cast<std::size_t>(r));
     }
-    if (r == 0) break;
-    all.insert(all.end(), chunk.begin(), chunk.begin() + r);
-  }
-  ::close(fd);
+  };
+  struct stat st {};
+  if (::fstat(fd, &st) != 0)
+    fail("snapshot: cannot stat " + path + ": " + std::strerror(errno));
+  const auto file_bytes = static_cast<std::uint64_t>(st.st_size);
 
-  Reader r(all);
+  // The envelope is checked against the file size before the payload is
+  // read, so the payload lands in one buffer of exactly its size.
+  std::array<std::uint8_t, kHeaderBytes> head{};
+  if (file_bytes < head.size()) fail("snapshot: file too short for envelope");
+  read_all(head);
+  Reader r(head);
   std::array<std::uint8_t, 4> magic{};
-  if (all.size() < 20) fail("snapshot: file too short for envelope");
   r.raw(magic);
   if (std::memcmp(magic.data(), kMagic.data(), 4) != 0)
     fail("snapshot: bad magic");
@@ -148,8 +137,9 @@ std::vector<std::uint8_t> read_snapshot_file(const std::string& path) {
          ", expected " + std::to_string(kSnapshotVersion) + ")");
   const std::uint64_t len = r.u64();
   const std::uint32_t crc = r.u32();
-  if (len != r.remaining()) fail("snapshot: payload length mismatch");
-  std::vector<std::uint8_t> payload(all.begin() + 20, all.end());
+  if (len != file_bytes - head.size()) fail("snapshot: payload length mismatch");
+  std::vector<std::uint8_t> payload(static_cast<std::size_t>(len));
+  read_all(payload);
   if (crc32(payload) != crc) fail("snapshot: payload checksum mismatch");
   return payload;
 }

@@ -39,8 +39,10 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <concepts>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -51,6 +53,10 @@
 namespace disco::snap {
 
 inline constexpr std::uint32_t kSnapshotVersion = 1;
+
+// Fixed-width fields are copied to and from the payload in host byte order.
+static_assert(std::endian::native == std::endian::little,
+              "snapshot archives assume a little-endian host");
 
 /// Structured snapshot failure: corrupt/truncated/mismatched input or an
 /// I/O error. Callers fall back to a from-zero run on catch, on a freshly
@@ -73,13 +79,13 @@ class Writer {
   static constexpr bool kLoading = false;
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) { le(v, 2); }
-  void u32(std::uint32_t v) { le(v, 4); }
-  void u64(std::uint64_t v) { le(v, 8); }
-  void i64(std::int64_t v) { le(static_cast<std::uint64_t>(v), 8); }
+  void u16(std::uint16_t v) { le<2>(v); }
+  void u32(std::uint32_t v) { le<4>(v); }
+  void u64(std::uint64_t v) { le<8>(v); }
+  void i64(std::int64_t v) { le<8>(static_cast<std::uint64_t>(v)); }
   void b(bool v) { u8(v ? 1 : 0); }
   /// Lossless bit-pattern double (the wire.cpp idiom).
-  void f64(double v);
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   /// Length-prefixed raw bytes.
   void bytes(std::span<const std::uint8_t> v) {
     u64(v.size());
@@ -93,14 +99,15 @@ class Writer {
   void raw(std::span<const std::uint8_t> v) {
     buf_.insert(buf_.end(), v.begin(), v.end());
   }
-  void append(const Writer& other) { raw(other.buf_); }
+  /// Capacity hint: a repeated save reserves the previous one's size.
+  void reserve(std::size_t n) { buf_.reserve(n); }
 
   // --- shapes shared with Reader ---
   /// A value the loading side already knows (a geometry count, a digest),
   /// stored at its own width; the loader rejects any other value.
   template <std::integral T>
   void count(T n, const char* /*what*/) {
-    le(static_cast<std::uint64_t>(n), sizeof(T));
+    le<sizeof(T)>(static_cast<std::uint64_t>(n));
   }
   /// Presence flag of an optional component; returns `has`.
   bool present(bool has, const char* /*what*/) {
@@ -115,7 +122,7 @@ class Writer {
   /// Index stored at its own width; the loader rejects v >= bound.
   template <std::integral T>
   void index(T v, std::uint64_t /*bound*/, const char* /*what*/) {
-    le(static_cast<std::uint64_t>(v), sizeof(T));
+    le<sizeof(T)>(static_cast<std::uint64_t>(v));
   }
   /// Element count, then each element through `f`.
   template <class C, class F>
@@ -131,17 +138,24 @@ class Writer {
   /// so a save -> restore -> save round trip is byte-identical.
   template <class M, class F>
   void map(const M& m, F&& f) {
-    const auto keys = sorted_keys(m);
-    u64(keys.size());
-    for (const auto& k : keys) {
+    // Sort (key, value pointer) pairs, so no value is looked up again.
+    std::vector<std::pair<typename M::key_type, const typename M::mapped_type*>>
+        entries;
+    entries.reserve(m.size());
+    for (const auto& [k, v] : m) entries.emplace_back(k, &v);
+    std::sort(entries.begin(), entries.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    u64(entries.size());
+    for (const auto& [k, v] : entries) {
       u64(k);
-      f(m.at(k));
+      f(*v);
     }
   }
   /// Unordered set in sorted order: count, then the u64 keys.
   template <class S>
   void set(const S& s) {
-    const auto keys = sorted_keys(s);
+    std::vector<typename S::key_type> keys(s.begin(), s.end());
+    std::sort(keys.begin(), keys.end());
     u64(keys.size());
     for (const auto& k : keys) u64(k);
   }
@@ -156,23 +170,12 @@ class Writer {
   std::size_t size() const { return buf_.size(); }
 
  private:
-  void le(std::uint64_t v, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i)
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  template <class C>
-  static auto sorted_keys(const C& c) {
-    std::vector<typename C::key_type> keys;
-    keys.reserve(c.size());
-    for (const auto& e : c) {
-      if constexpr (requires { e.first; }) {
-        keys.push_back(e.first);
-      } else {
-        keys.push_back(e);
-      }
-    }
-    std::sort(keys.begin(), keys.end());
-    return keys;
+  /// The low N bytes of `v`, little-endian, appended in one copy.
+  template <std::size_t N>
+  void le(std::uint64_t v) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + N);
+    std::memcpy(buf_.data() + at, &v, N);
   }
   std::vector<std::uint8_t> buf_;
 };
@@ -188,16 +191,22 @@ class Reader {
   explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
 
   std::uint8_t u8() { return take(1)[0]; }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(le(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(le(4)); }
-  std::uint64_t u64() { return le(8); }
-  std::int64_t i64() { return static_cast<std::int64_t>(le(8)); }
-  bool b();
-  double f64();
+  std::uint16_t u16() { return static_cast<std::uint16_t>(le<2>()); }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(le<4>()); }
+  std::uint64_t u64() { return le<8>(); }
+  std::int64_t i64() { return static_cast<std::int64_t>(le<8>()); }
+  bool b() {
+    const std::uint8_t v = u8();
+    if (v > 1) fail("snapshot: bool byte out of range");
+    return v != 0;
+  }
+  double f64() { return std::bit_cast<double>(u64()); }
   std::vector<std::uint8_t> bytes();
   std::string str();
   /// Fixed-size raw bytes into `out`.
-  void raw(std::span<std::uint8_t> out);
+  void raw(std::span<std::uint8_t> out) {
+    std::memcpy(out.data(), take(out.size()).data(), out.size());
+  }
 
   // --- the Writer's calls: read into the field passed by reference ---
   template <std::integral T>
@@ -218,7 +227,7 @@ class Reader {
 
   template <std::integral T>
   void count(T n, const char* what) {
-    if (le(sizeof(T)) != static_cast<std::uint64_t>(n)) fail(what);
+    if (le<sizeof(T)>() != static_cast<std::uint64_t>(n)) fail(what);
   }
   bool present(bool has, const char* what) {
     if (b() != has) fail(what);
@@ -232,7 +241,7 @@ class Reader {
   }
   template <std::integral T>
   void index(T& v, std::uint64_t bound, const char* what) {
-    const std::uint64_t x = le(sizeof(T));
+    const std::uint64_t x = le<sizeof(T)>();
     if (x >= bound) fail(what);
     v = static_cast<T>(x);
   }
@@ -247,10 +256,15 @@ class Reader {
   void flags(std::vector<bool>& v) {
     for (auto&& f : v) f = b();
   }
+  /// No simulated behaviour depends on the iteration order of a map a
+  /// snapshot holds (walks that feed the simulation sort their keys), so
+  /// its bucket count is not simulated state: reserve it.
   template <class M, class F>
   void map(M& m, F&& f) {
     m.clear();
-    for (std::uint64_t n = length(); n > 0; --n)
+    const std::uint64_t n = length();
+    m.reserve(n);
+    for (std::uint64_t i = 0; i < n; ++i)
       f(m[static_cast<typename M::key_type>(u64())]);
   }
   template <class S>
@@ -274,20 +288,37 @@ class Reader {
   /// An element count; every element takes at least one byte, so a count
   /// past the end of the payload is corrupt before any element is read.
   std::uint64_t length();
-  std::span<const std::uint8_t> take(std::size_t n);
-  std::uint64_t le(std::size_t n);
+  std::span<const std::uint8_t> take(std::size_t n) {
+    if (n > remaining()) fail("snapshot: truncated payload");
+    const auto s = data_.subspan(pos_, n);
+    pos_ += n;
+    return s;
+  }
+  /// N little-endian bytes, read in one copy.
+  template <std::size_t N>
+  std::uint64_t le() {
+    std::uint64_t v = 0;
+    std::memcpy(&v, take(N).data(), N);
+    return v;
+  }
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
 };
 
-/// Atomically write `payload` to `path` inside the versioned, checksummed
-/// envelope: <path>.tmp + fsync + rename. Throws SnapshotError on I/O error
-/// (the previous snapshot at `path`, if any, is left untouched).
+/// Atomically write the concatenated `parts` to `path` as one payload inside
+/// the versioned, checksummed envelope: <path>.tmp + fsync + rename. Throws
+/// SnapshotError on I/O error (the previous snapshot at `path`, if any, is
+/// left untouched).
 void write_snapshot_file(const std::string& path,
-                         std::span<const std::uint8_t> payload);
+                         std::span<const std::span<const std::uint8_t>> parts);
+inline void write_snapshot_file(const std::string& path,
+                                std::span<const std::uint8_t> payload) {
+  write_snapshot_file(path, std::span(&payload, 1));
+}
 
-/// Read and validate a snapshot file: magic, version, length and CRC must
-/// all match or SnapshotError is thrown. Returns the payload bytes.
+/// Read and validate a snapshot file: magic, version, length (against the
+/// file size, before the payload is read) and CRC must all match or
+/// SnapshotError is thrown. Returns the payload bytes.
 std::vector<std::uint8_t> read_snapshot_file(const std::string& path);
 
 }  // namespace disco::snap

@@ -61,13 +61,14 @@ std::uint32_t PacketTable::intern(const PacketPtr& p) {
 }
 
 void PacketTable::save_table(snap::Writer& w) {
-  // Writing a packet may intern another one through nack_ref, growing the
-  // worklist; the count is therefore only known after the bodies are done.
-  snap::Writer bodies;
+  // A packet's body interns its nack_ref target, which may grow the
+  // worklist. Close the table first, in the same order the bodies would
+  // intern, so the count is known before the bodies are written.
   for (std::size_t i = 0; i < pkts_.size(); ++i)
-    serialize<snap::Writer>(bodies, *this, *pkts_[i]);
+    intern(packet_pool().resolve(pkts_[i]->nack_ref));
   w.u32(static_cast<std::uint32_t>(pkts_.size()));
-  w.append(bodies);
+  for (std::size_t i = 0; i < pkts_.size(); ++i)
+    serialize<snap::Writer>(w, *this, *pkts_[i]);
 }
 
 void PacketTable::load_table(snap::Reader& r) {

@@ -155,7 +155,7 @@ void Tracer::emit(Cycle cycle, NodeId node, Event e, std::uint8_t port,
   }
   // Full: overwrite the oldest slot (head_ walks the ring).
   ring_[head_] = ev;
-  head_ = (head_ + 1) % capacity_;
+  if (++head_ == capacity_) head_ = 0;
 }
 
 std::vector<TraceEvent> Tracer::snapshot() const {

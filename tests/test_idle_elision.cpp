@@ -198,7 +198,7 @@ TEST(IdleElision, RestoredRouterConsumesFlitsAndCreditsOnItsInputLinks) {
   a.serialize(body, saved);
   snap::Writer file;
   saved.save_table(file);
-  file.append(body);
+  file.raw(body.data());
 
   noc::NocStats stats_b;
   noc::Network b(cfg, policy, stats_b);

@@ -1,11 +1,15 @@
-// Infrastructure tests: RNG determinism/quality smoke checks, table
-// printing, config summaries, and scheme-setup wiring.
+// Infrastructure tests: RNG determinism/quality smoke checks, the CRC-32
+// against a bitwise reference, table printing, config summaries, and
+// scheme-setup wiring.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
+#include <string_view>
 
 #include "cmp/scheme.h"
 #include "common/config.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -52,6 +56,45 @@ TEST(Rng, SplitmixStreamDerivationSeparatesCells) {
   // Not the trivial composition of either single-arg hash.
   EXPECT_NE(splitmix64(1, 0), splitmix64(1));
   EXPECT_NE(splitmix64(1, 0), splitmix64(0));
+}
+
+/// The textbook reflected CRC-32, one bit at a time: independent of the
+/// tables and the eight-byte folding under test.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> bytes) {
+  std::uint32_t c = 0xFFFFFFFFU;
+  for (const std::uint8_t b : bytes) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1U) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+TEST(Crc32, KnownAnswer) {
+  constexpr std::string_view kCheck = "123456789";
+  EXPECT_EQ(crc32(std::span<const std::uint8_t>(
+                reinterpret_cast<const std::uint8_t*>(kCheck.data()),
+                kCheck.size())),
+            0xCBF43926U);
+  EXPECT_EQ(crc32({}), 0U);
+}
+
+// Every length 0..80 at every start offset 0..7 covers the eight-byte body
+// at each alignment and every tail length.
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  std::array<std::uint8_t, 96> buf{};
+  Rng rng(0xC5C32);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 80; ++len) {
+      const std::span<const std::uint8_t> s(buf.data() + off, len);
+      const std::uint32_t want = crc32_bitwise(s);
+      EXPECT_EQ(crc32(s), want) << "offset " << off << ", length " << len;
+      // Continuing from the CRC of a prefix gives the CRC of the whole.
+      const std::size_t cut = len / 3;
+      EXPECT_EQ(crc32(s.subspan(cut), crc32(s.first(cut))), want)
+          << "offset " << off << ", length " << len << ", split at " << cut;
+    }
+  }
 }
 
 TEST(Histogram, QuantileEdgeCases) {

@@ -12,7 +12,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -96,6 +98,33 @@ TEST(SnapshotPrimitives, WriterReaderRoundTrip) {
   EXPECT_NO_THROW(r.expect_end());
 }
 
+// The archive is little-endian whatever the host: pin the exact bytes of
+// each fixed-width field, not just a round trip.
+TEST(SnapshotPrimitives, FixedWidthFieldsAreLittleEndian) {
+  snap::Writer w;
+  w.u16(0x0102);
+  w.u32(0x01020304U);
+  w.u64(0x0102030405060708ULL);
+  w.i64(-2);
+  w.f64(1.0);  // bit image 0x3FF0000000000000
+  const std::vector<std::uint8_t> want = {
+      0x02, 0x01,                                      // u16
+      0x04, 0x03, 0x02, 0x01,                          // u32
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // u64
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // i64
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,  // f64
+  };
+  EXPECT_EQ(w.data(), want);
+
+  snap::Reader r(want);
+  EXPECT_EQ(r.u16(), 0x0102);
+  EXPECT_EQ(r.u32(), 0x01020304U);
+  EXPECT_EQ(r.u64(), 0x0102030405060708ULL);
+  EXPECT_EQ(r.i64(), -2);
+  EXPECT_EQ(r.f64(), 1.0);
+  EXPECT_NO_THROW(r.expect_end());
+}
+
 TEST(SnapshotPrimitives, TruncatedReadThrows) {
   snap::Writer w;
   w.u32(7);
@@ -123,6 +152,49 @@ TEST(SnapshotEnvelope, FileRoundTripAndAtomicity) {
 
   EXPECT_THROW(snap::read_snapshot_file(dir.file("missing.bin")),
                snap::SnapshotError);
+}
+
+// The envelope's length field must equal the file size less the header: a
+// trailing byte or an edited length is rejected by the envelope check,
+// before any payload byte is parsed (and without trusting the length to
+// size a buffer).
+TEST(SnapshotEnvelope, LengthMustMatchFileSize) {
+  ScratchDir dir("envelope-length");
+  const std::string path = dir.file("s.bin");
+  snap::Writer w;
+  for (std::uint64_t i = 0; i < 40; ++i) w.u64(i);
+  snap::write_snapshot_file(path, w.data());
+  std::vector<std::uint8_t> good;
+  {
+    std::ifstream in(path, std::ios::binary);
+    good.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_EQ(good.size(), 20 + w.size());
+  auto rewrite = [&](const std::vector<std::uint8_t>& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  };
+
+  std::vector<std::uint8_t> trailing = good;
+  trailing.push_back(0);
+  rewrite(trailing);
+  EXPECT_THROW(snap::read_snapshot_file(path), snap::SnapshotError);
+
+  constexpr std::size_t kLengthAt = 8;  // after magic and version
+  for (const std::uint64_t len :
+       {std::uint64_t{w.size() - 1}, std::uint64_t{w.size() + 1},
+        ~std::uint64_t{0}}) {
+    std::vector<std::uint8_t> edited = good;
+    for (std::size_t i = 0; i < 8; ++i)
+      edited[kLengthAt + i] = static_cast<std::uint8_t>(len >> (8 * i));
+    rewrite(edited);
+    EXPECT_THROW(snap::read_snapshot_file(path), snap::SnapshotError)
+        << "length field " << len;
+  }
+
+  rewrite(good);
+  EXPECT_EQ(snap::read_snapshot_file(path), w.data());
 }
 
 // ---------------------------------------------------------------------------
